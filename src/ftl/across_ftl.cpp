@@ -694,15 +694,15 @@ void source_amt_entry(ssd::ByteSource& src, AcrossFtl::AmtEntry& entry) {
 }  // namespace
 
 void AcrossFtl::serialize_mapping(ssd::ByteSink& sink) const {
+  const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
-  for (const PmtEntry& pe : pmt_) {
-    count += (pe.ppn.valid() || pe.aidx != kNoArea) ? 1u : 0u;
-  }
-  sink.u64(count);
   for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
     const PmtEntry& pe = pmt_[l];
-    if (pe.ppn.valid() || pe.aidx != kNoArea) sink_pmt_entry(sink, l, pe);
+    if (!pe.ppn.valid() && pe.aidx == kNoArea) continue;
+    sink_pmt_entry(sink, l, pe);
+    ++count;
   }
+  sink.patch_u64(count_at, count);
   // Trailing dead entries are canonically trimmed: a from-scratch OOB scan
   // only ever materialises slots up to the highest live aidx, and allocation
   // order is unaffected (rebuild_area_state hands out the lowest free id,
@@ -729,6 +729,11 @@ void AcrossFtl::serialize_delta(ssd::ByteSink& sink) {
     sink.u32(a);
     sink_amt_entry(sink, amt_[a]);
   }
+  dirty_areas_.clear();
+}
+
+void AcrossFtl::discard_delta() {
+  dirty_lpns_.clear();
   dirty_areas_.clear();
 }
 

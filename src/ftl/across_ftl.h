@@ -77,6 +77,7 @@ class AcrossFtl final : public FtlScheme {
   // generation counters the valve FIFO depends on).
   void serialize_mapping(ssd::ByteSink& sink) const override;
   void serialize_delta(ssd::ByteSink& sink) override;
+  void discard_delta() override;
   void deserialize_mapping(ssd::ByteSource& src) override;
   void apply_delta(ssd::ByteSource& src) override;
   void recover_claim(const nand::OobRecord& oob, Ppn ppn) override;

@@ -18,7 +18,8 @@ constexpr std::uint32_t kSlotWeight =
     ssd::Engine::kFullPageWeight / MrsmFtl::kSubsPerPage;
 }  // namespace
 
-MrsmFtl::MrsmFtl(ssd::Engine& engine) : FtlScheme(engine) {
+MrsmFtl::MrsmFtl(ssd::Engine& engine)
+    : FtlScheme(engine), packed_(engine.geometry().total_pages()) {
   const std::uint64_t logical = engine.config().logical_pages();
   pmt_.assign(static_cast<std::size_t>(logical), Ppn{});
   subs_.assign(static_cast<std::size_t>(logical), {});
@@ -45,10 +46,8 @@ MrsmFtl::MrsmFtl(ssd::Engine& engine) : FtlScheme(engine) {
   // reclaimable even though it is "valid" at page level. Without this the
   // device wedges under sub-page fragmentation.
   engine.set_victim_weight([this](Ppn ppn) -> std::uint32_t {
-    const auto it = packed_.find(ppn.get());
-    if (it != packed_.end()) {
-      return it->second.live_count() * (ssd::Engine::kFullPageWeight /
-                                        kSubsPerPage);
+    if (const PackedPage* dir = packed_.find(ppn.get())) {
+      return dir->live_count() * kSlotWeight;
     }
     const nand::PageOwner& owner = engine_.array().owner(ppn);
     if (owner.kind == nand::PageOwner::Kind::kData &&
@@ -59,7 +58,7 @@ MrsmFtl::MrsmFtl(ssd::Engine& engine) : FtlScheme(engine) {
       for (std::uint32_t k = 0; k < kSubsPerPage; ++k) {
         live += (subs_[owner.id][k].ppn == ppn) ? 1u : 0u;
       }
-      return live * (ssd::Engine::kFullPageWeight / kSubsPerPage);
+      return live * kSlotWeight;
     }
     return ssd::Engine::kFullPageWeight;
   });
@@ -113,16 +112,15 @@ void MrsmFtl::retire_subloc(Lpn lpn, std::uint32_t sub) {
   subs_[lpn.get()][sub] = SubLoc{};
   journal_lpn(lpn.get());
 
-  auto it = packed_.find(loc.ppn.get());
-  if (it != packed_.end()) {
+  if (PackedPage* dir = packed_.find(loc.ppn.get())) {
     journal_packed(loc.ppn);
-    PackedPage::Slot& slot = it->second.slots[loc.slot];
+    PackedPage::Slot& slot = dir->slots[loc.slot];
     AF_CHECK(slot.live && slot.lpn == lpn && slot.sub == sub);
     slot.live = false;
-    const std::uint32_t live = it->second.live_count();
+    const std::uint32_t live = dir->live_count();
     if (live == 0) {
       engine_.invalidate(loc.ppn);
-      packed_.erase(it);
+      (void)packed_.erase(loc.ppn.get());
     } else {
       engine_.note_page_weight(loc.ppn, live * kSlotWeight);
     }
@@ -205,7 +203,7 @@ ssd::Engine::Programmed MrsmFtl::program_packed(std::span<const Chunk> chunks,
     dir.slots[i] = {chunk.lpn, chunk.sub, true};
   }
   // Unfilled slots are dead on arrival — the packing tax MRSM pays.
-  const bool inserted = packed_.emplace(programmed.ppn.get(), dir).second;
+  const bool inserted = packed_.insert(programmed.ppn.get(), dir);
   AF_CHECK_MSG(inserted, "stale packed-page directory entry");
   journal_packed(programmed.ppn);
   engine_.note_page_weight(
@@ -478,7 +476,7 @@ void MrsmFtl::flush_staged_group(std::uint64_t plane, SimTime& clock) {
     dir.slots[i] = {staged.lpn, staged.sub, true};
     clock = touch_map(staged.lpn, /*dirty=*/true, clock);
   }
-  const bool inserted = packed_.emplace(programmed.ppn.get(), dir).second;
+  const bool inserted = packed_.insert(programmed.ppn.get(), dir);
   AF_CHECK_MSG(inserted, "stale packed-page directory entry");
   journal_packed(programmed.ppn);
   engine_.note_page_weight(programmed.ppn,
@@ -524,10 +522,10 @@ void MrsmFtl::gc_relocate(Ppn victim, const nand::PageOwner& owner,
 
   AF_CHECK_MSG(owner.kind == nand::PageOwner::Kind::kPacked,
                "unexpected page owner in MRSM GC");
-  auto it = packed_.find(victim.get());
-  AF_CHECK_MSG(it != packed_.end(), "packed page without a slot directory");
+  const PackedPage* dir = packed_.find(victim.get());
+  AF_CHECK_MSG(dir != nullptr, "packed page without a slot directory");
   std::vector<Chunk> live;
-  for (const auto& slot : it->second.slots) {
+  for (const auto& slot : dir->slots) {
     if (slot.live) live.push_back({slot.lpn, slot.sub, SectorRange{}});
   }
   AF_CHECK_MSG(!live.empty(), "valid packed page with no live slots");
@@ -537,11 +535,19 @@ void MrsmFtl::gc_relocate(Ppn victim, const nand::PageOwner& owner,
 // --- RecoverableMapping -------------------------------------------------------
 //
 // Snapshot layout: next_pack_id, the full region-mode vector, sparse PMT
-// pairs, sparse sub-tables and the packed-page directories (sorted by PPN for
-// determinism). Deltas re-emit the *current* value of every dirty key, so
-// replay order within one delta does not matter.
+// pairs, sparse sub-tables and the packed-page directories in PPN order (the
+// flat table's own order — determinism without a sort). Deltas re-emit the
+// *current* value of every dirty key, so replay order within one delta does
+// not matter.
 
-void MrsmFtl::sink_lpn_entry(ssd::ByteSink& sink, std::uint64_t l) const {
+bool MrsmFtl::has_subs(std::uint64_t l) const {
+  bool any = false;
+  for (const SubLoc& loc : subs_[l]) any = any || loc.valid();
+  return any;
+}
+
+void MrsmFtl::sink_lpn_entry(ssd::ByteSink& sink, std::uint64_t l,
+                             bool subs) const {
   sink.u64(l);
   sink.u64(pmt_[l].get());
   // Most of the space stays page-mapped (subs all invalid); a presence flag
@@ -549,20 +555,26 @@ void MrsmFtl::sink_lpn_entry(ssd::ByteSink& sink, std::uint64_t l) const {
   // MRSM snapshots ~3.5x the page-FTL's, and the resulting ~150-page journal
   // bursts on the map stream stalled data traffic badly enough to show up as
   // a 4x io_time inflation in perf_replay's checkpoint section.
-  bool any_sub = false;
-  for (const SubLoc& loc : subs_[l]) any_sub = any_sub || loc.valid();
-  sink.u8(any_sub ? 1 : 0);
-  if (!any_sub) return;
+  sink.u8(subs ? 1 : 0);
+  if (!subs) return;
   for (const SubLoc& loc : subs_[l]) {
     sink.u64(loc.ppn.get());
     sink.u8(loc.slot);
   }
 }
 
+Ppn MrsmFtl::source_ppn(ssd::ByteSource& src, bool unmapped_ok) const {
+  const Ppn ppn{src.u64()};
+  AF_CHECK_MSG((unmapped_ok && !ppn.valid()) ||
+                   ppn.get() < packed_.key_space(),
+               "checkpoint blob names a PPN outside the device");
+  return ppn;
+}
+
 void MrsmFtl::source_lpn_entry(ssd::ByteSource& src) {
   const std::uint64_t l = src.u64();
   AF_CHECK(l < pmt_.size());
-  pmt_[l] = Ppn{src.u64()};
+  pmt_[l] = source_ppn(src, /*unmapped_ok=*/true);
   if (src.u8() == 0) {
     // Entry was serialized with no live subs; clear ours — a delta replay
     // may be overwriting an entry that had subs when it was last applied.
@@ -570,7 +582,7 @@ void MrsmFtl::source_lpn_entry(ssd::ByteSource& src) {
     return;
   }
   for (SubLoc& loc : subs_[l]) {
-    loc.ppn = Ppn{src.u64()};
+    loc.ppn = source_ppn(src, /*unmapped_ok=*/true);
     loc.slot = src.u8();
   }
 }
@@ -606,29 +618,22 @@ void MrsmFtl::serialize_mapping(ssd::ByteSink& sink) const {
   sink.u64(region_mode_.size());
   for (const std::uint8_t mode : region_mode_) sink.u8(mode);
 
-  auto lpn_used = [this](std::uint64_t l) {
-    if (pmt_[l].valid()) return true;
-    for (const SubLoc& loc : subs_[l]) {
-      if (loc.valid()) return true;
-    }
-    return false;
-  };
+  // One pass over the rows; the count is back-patched once known.
+  const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
-  for (std::uint64_t l = 0; l < pmt_.size(); ++l) count += lpn_used(l) ? 1u : 0u;
-  sink.u64(count);
   for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
-    if (lpn_used(l)) sink_lpn_entry(sink, l);
+    const bool subs = has_subs(l);
+    if (!subs && !pmt_[l].valid()) continue;
+    sink_lpn_entry(sink, l, subs);
+    ++count;
   }
+  sink.patch_u64(count_at, count);
 
-  std::vector<std::uint64_t> ppns;
-  ppns.reserve(packed_.size());
-  for (const auto& [ppn, dir] : packed_) ppns.push_back(ppn);
-  std::sort(ppns.begin(), ppns.end());
-  sink.u64(ppns.size());
-  for (const std::uint64_t ppn : ppns) {
+  sink.u64(packed_.size());
+  packed_.for_each([&sink](std::uint64_t ppn, const PackedPage& dir) {
     sink.u64(ppn);
-    sink_packed_dir(sink, packed_.at(ppn));
-  }
+    sink_packed_dir(sink, dir);
+  });
 }
 
 void MrsmFtl::serialize_delta(ssd::ByteSink& sink) {
@@ -649,16 +654,22 @@ void MrsmFtl::serialize_delta(ssd::ByteSink& sink) {
   }
 
   sink.u64(dirty_lpns_.size());
-  for (const std::uint64_t l : dirty_lpns_) sink_lpn_entry(sink, l);
+  for (const std::uint64_t l : dirty_lpns_) {
+    sink_lpn_entry(sink, l, has_subs(l));
+  }
 
   sink.u64(dirty_packed_.size());
   for (const std::uint64_t ppn : dirty_packed_) {
     sink.u64(ppn);
-    const auto it = packed_.find(ppn);
-    sink.u8(it != packed_.end() ? 1 : 0);
-    if (it != packed_.end()) sink_packed_dir(sink, it->second);
+    const PackedPage* dir = packed_.find(ppn);
+    sink.u8(dir != nullptr ? 1 : 0);
+    if (dir != nullptr) sink_packed_dir(sink, *dir);
   }
 
+  discard_delta();
+}
+
+void MrsmFtl::discard_delta() {
   dirty_regions_.clear();
   dirty_lpns_.clear();
   dirty_packed_.clear();
@@ -676,8 +687,8 @@ void MrsmFtl::deserialize_mapping(ssd::ByteSource& src) {
 
   const std::uint64_t dirs = src.u64();
   for (std::uint64_t i = 0; i < dirs; ++i) {
-    const std::uint64_t ppn = src.u64();
-    packed_[ppn] = source_packed_dir(src);
+    const Ppn ppn = source_ppn(src, /*unmapped_ok=*/false);
+    packed_.assign(ppn.get(), source_packed_dir(src));
   }
 }
 
@@ -696,12 +707,12 @@ void MrsmFtl::apply_delta(ssd::ByteSource& src) {
 
   const std::uint64_t dirs = src.u64();
   for (std::uint64_t i = 0; i < dirs; ++i) {
-    const std::uint64_t ppn = src.u64();
+    const Ppn ppn = source_ppn(src, /*unmapped_ok=*/false);
     const bool present = src.u8() != 0;
     if (present) {
-      packed_[ppn] = source_packed_dir(src);
+      packed_.assign(ppn.get(), source_packed_dir(src));
     } else {
-      packed_.erase(ppn);
+      (void)packed_.erase(ppn.get());
     }
   }
 }
@@ -711,19 +722,19 @@ void MrsmFtl::recover_displace(Lpn lpn, std::uint32_t sub) {
   if (!loc.valid()) return;
   subs_[lpn.get()][sub] = SubLoc{};
 
-  const auto it = packed_.find(loc.ppn.get());
-  if (it == packed_.end()) return;  // converted page — dies by reference count
-  PackedPage::Slot& slot = it->second.slots[loc.slot];
+  PackedPage* dir = packed_.find(loc.ppn.get());
+  if (dir == nullptr) return;  // converted page — dies by reference count
+  PackedPage::Slot& slot = dir->slots[loc.slot];
   // The directory may already reflect a later state (checkpointed after the
   // displacement) — only clear slots that still name this sub-page.
   if (slot.live && slot.lpn == lpn && slot.sub == sub) slot.live = false;
-  if (it->second.live_count() == 0) packed_.erase(it);
+  if (dir->live_count() == 0) (void)packed_.erase(loc.ppn.get());
 }
 
 void MrsmFtl::recover_claim_packed(const nand::OobRecord& oob, Ppn ppn) {
   // A stale directory can survive at this PPN if the checkpoint predates the
   // block's erase cycle; this program supersedes it wholesale.
-  packed_.erase(ppn.get());
+  (void)packed_.erase(ppn.get());
 
   PackedPage dir;
   dir.pack_id = oob.owner.id;
@@ -740,7 +751,7 @@ void MrsmFtl::recover_claim_packed(const nand::OobRecord& oob, Ppn ppn) {
     subs_[lpn.get()][slot.sub] = {ppn, static_cast<std::uint8_t>(i)};
     dir.slots[i] = {lpn, slot.sub, true};
   }
-  packed_.emplace(ppn.get(), dir);
+  (void)packed_.insert(ppn.get(), dir);
   next_pack_id_ = std::max(next_pack_id_, oob.owner.id + 1);
 }
 
@@ -781,16 +792,16 @@ void MrsmFtl::recover_enumerate(
   }
   // Packed pages are referenced through their directory (a page with live
   // slots is live, whoever points at it).
-  for (const auto& [raw, dir] : packed_) {
+  packed_.for_each([&fn](std::uint64_t raw, const PackedPage& dir) {
     fn(Ppn{raw}, nand::PageOwner::packed(dir.pack_id));
-  }
+  });
   // Converted pages (page-mapped data re-interpreted as four slots) carry a
   // kData owner and can be referenced by several sub-entries of the same LPN
   // — emit each distinct PPN once.
   for (std::uint64_t l = 0; l < subs_.size(); ++l) {
     for (std::uint32_t k = 0; k < kSubsPerPage; ++k) {
       const SubLoc& loc = subs_[l][k];
-      if (!loc.valid() || packed_.count(loc.ppn.get()) != 0) continue;
+      if (!loc.valid() || packed_.contains(loc.ppn.get())) continue;
       bool first = true;
       for (std::uint32_t j = 0; j < k; ++j) {
         if (subs_[l][j].ppn == loc.ppn) {

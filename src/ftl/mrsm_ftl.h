@@ -17,9 +17,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/dense_key_map.h"
 #include "ftl/scheme.h"
 
 namespace af::ftl {
@@ -44,6 +44,7 @@ class MrsmFtl final : public FtlScheme {
   // and the packed-page slot directories.
   void serialize_mapping(ssd::ByteSink& sink) const override;
   void serialize_delta(ssd::ByteSink& sink) override;
+  void discard_delta() override;
   void deserialize_mapping(ssd::ByteSource& src) override;
   void apply_delta(ssd::ByteSource& src) override;
   void recover_claim(const nand::OobRecord& oob, Ppn ppn) override;
@@ -146,15 +147,21 @@ class MrsmFtl final : public FtlScheme {
   void recover_displace(Lpn lpn, std::uint32_t sub);
   void recover_claim_packed(const nand::OobRecord& oob, Ppn ppn);
   // Serialization helpers: one LPN's PMT + sub-table row, one slot directory.
-  void sink_lpn_entry(ssd::ByteSink& sink, std::uint64_t l) const;
+  [[nodiscard]] bool has_subs(std::uint64_t l) const;
+  void sink_lpn_entry(ssd::ByteSink& sink, std::uint64_t l, bool subs) const;
   void source_lpn_entry(ssd::ByteSource& src);
+  /// Reads a PPN from a checkpoint blob and fails on one past the device, so
+  /// a corrupt blob never indexes the flat tables. `unmapped_ok` admits the
+  /// invalid sentinel of an empty entry.
+  [[nodiscard]] Ppn source_ppn(ssd::ByteSource& src, bool unmapped_ok) const;
   static void sink_packed_dir(ssd::ByteSink& sink, const PackedPage& dir);
   static PackedPage source_packed_dir(ssd::ByteSource& src);
 
   std::vector<Ppn> pmt_;                          // page-mode mapping
   std::vector<std::array<SubLoc, kSubsPerPage>> subs_;  // sub-mode mapping
   std::vector<std::uint8_t> region_mode_;         // 0 = page, 1 = sub
-  std::unordered_map<std::uint64_t, PackedPage> packed_;
+  /// Slot directories of the live packed pages, keyed by PPN.
+  DenseKeyMap<PackedPage> packed_;
   std::vector<StagedChunk> staged_;  // GC repacking buffer
   std::uint64_t next_pack_id_ = 0;
   std::uint64_t tree_depth_;  // DRAM accesses per region lookup

@@ -145,14 +145,15 @@ void PageFtl::gc_relocate(Ppn victim, const nand::PageOwner& owner,
 // --- RecoverableMapping -------------------------------------------------------
 
 void PageFtl::serialize_mapping(ssd::ByteSink& sink) const {
+  const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
-  for (const Ppn ppn : pmt_) count += ppn.valid() ? 1u : 0u;
-  sink.u64(count);
   for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
     if (!pmt_[l].valid()) continue;
     sink.u64(l);
     sink.u64(pmt_[l].get());
+    ++count;
   }
+  sink.patch_u64(count_at, count);
 }
 
 void PageFtl::serialize_delta(ssd::ByteSink& sink) {
@@ -166,6 +167,8 @@ void PageFtl::serialize_delta(ssd::ByteSink& sink) {
   }
   dirty_lpns_.clear();
 }
+
+void PageFtl::discard_delta() { dirty_lpns_.clear(); }
 
 void PageFtl::deserialize_mapping(ssd::ByteSource& src) {
   const std::uint64_t count = src.u64();

@@ -75,14 +75,13 @@ bool Checkpointer::write_journal(SimTime now, bool snapshot) {
     // it — nothing is lost, the dirty state simply rides to the next try.
     const std::uint64_t page_bytes = engine_.geometry().page_bytes;
     const std::uint64_t need =
-        (sink.bytes().size() + page_bytes - 1) / page_bytes;
+        (sink.size() + page_bytes - 1) / page_bytes;
     if (engine_.free_headroom_pages() < need) {
       return false;
     }
-    // A snapshot supersedes all prior dirty state: drain it into the void so
-    // the next delta carries only post-snapshot changes.
-    ByteSink scratch;
-    scheme_.serialize_delta(scratch);
+    // A snapshot supersedes all prior dirty state: drop it so the next delta
+    // carries only post-snapshot changes.
+    scheme_.discard_delta();
     (void)dir.drain_dirty_gtd();
   } else {
     scheme_.serialize_delta(sink);

@@ -99,13 +99,14 @@ std::vector<std::uint64_t> MapDirectory::drain_dirty_gtd() {
 }
 
 void MapDirectory::serialize_gtd(ByteSink& sink) const {
+  const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
-  for_each_flash_location([&](std::uint64_t, Ppn) { ++count; });
-  sink.u64(count);
   for_each_flash_location([&](std::uint64_t map_page, Ppn ppn) {
     sink.u64(map_page);
     sink.u64(ppn.get());
+    ++count;
   });
+  sink.patch_u64(count_at, count);
 }
 
 void MapDirectory::recover_set_location(std::uint64_t map_page, Ppn ppn) {

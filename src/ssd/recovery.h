@@ -49,6 +49,9 @@ class RecoverableMapping {
   /// Serializes and drains the entries dirtied since the last serialize call
   /// (delta journal entry). Only meaningful with journaling enabled.
   virtual void serialize_delta(ByteSink& sink) = 0;
+  /// Drains the dirty entries without encoding them: a snapshot just
+  /// captured them all.
+  virtual void discard_delta() = 0;
   /// Turns dirty-entry tracking on/off. Off (the default) keeps the
   /// no-journal hot path free of bookkeeping.
   virtual void enable_journal(bool on) = 0;

@@ -4,8 +4,10 @@
 // state must serialize to identical bytes, which benches compare).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -15,23 +17,41 @@ namespace af::ssd {
 class ByteSink {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  void u32(std::uint32_t v) { append(v); }
+  void u64(std::uint64_t v) { append(v); }
+
+  /// Emits a zero u64 to be filled in later with patch_u64 — for counts
+  /// that are only known once the entries after them are written.
+  [[nodiscard]] std::size_t u64_placeholder() {
+    const std::size_t at = bytes_.size();
+    u64(0);
+    return at;
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    AF_CHECK(at + 8 <= bytes_.size());
+    store(bytes_.data() + at, v);
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
-  }
+  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return bytes_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
+  /// One size check per value, not one per byte. (Growing the vector by a
+  /// zero-filled slack region instead would make the slack resident.)
+  template <typename T>
+  void append(T v) {
+    std::uint8_t le[sizeof(T)];
+    store(le, v);
+    bytes_.insert(bytes_.end(), le, le + sizeof(T));
+  }
+  template <typename T>
+  static void store(std::uint8_t* p, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "ssd/serialize.h"
 #include "../helpers.h"
 
 namespace af::ftl {
@@ -137,6 +141,84 @@ TEST_F(MrsmFixture, MapFootprintLargerThanBaselineOnceSubMapped) {
     write(off, 7);
   }
   EXPECT_GT(scheme().map_bytes(), baseline.scheme().map_bytes());
+}
+
+// A checkpoint blob whose PPNs fall outside the device must fail loudly at
+// mount: the slot directories are a flat PPN-indexed table, and a corrupt
+// key must not index past it (nor silently create a directory).
+struct MrsmJournalDeathTest : MrsmFixture {
+  std::uint64_t total_pages() {
+    return ssd.config().geometry.total_pages();
+  }
+  /// A delta with no regions or LPN rows and one slot directory at `ppn`.
+  static std::vector<std::uint8_t> dir_delta(std::uint64_t ppn, bool present) {
+    ssd::ByteSink sink;
+    sink.u64(0);  // next_pack_id
+    sink.u64(0);  // regions
+    sink.u64(0);  // LPN rows
+    sink.u64(1);  // directories
+    sink.u64(ppn);
+    sink.u8(present ? 1 : 0);
+    if (present) {
+      sink.u64(7);  // pack id
+      sink.u8(1);   // slot 0 live
+      sink.u64(0);  // lpn
+      sink.u8(0);   // sub
+      for (int i = 1; i < 4; ++i) sink.u8(0);
+    }
+    return sink.take();
+  }
+  void apply(const std::vector<std::uint8_t>& blob) {
+    ssd::ByteSource src(blob);
+    scheme().apply_delta(src);
+  }
+};
+
+TEST_F(MrsmJournalDeathTest, WellFormedDeltaApplies) {
+  apply(dir_delta(total_pages() - 1, /*present=*/true));
+  apply(dir_delta(total_pages() - 1, /*present=*/false));
+}
+
+TEST_F(MrsmJournalDeathTest, DirectoryPastTheDeviceFails) {
+  EXPECT_DEATH(apply(dir_delta(total_pages(), /*present=*/true)),
+               "PPN outside the device");
+  EXPECT_DEATH(apply(dir_delta(~std::uint64_t{0} - 1, /*present=*/false)),
+               "PPN outside the device");
+}
+
+TEST_F(MrsmJournalDeathTest, SubLocationPastTheDeviceFails) {
+  ssd::ByteSink sink;
+  sink.u64(0);                 // next_pack_id
+  sink.u64(0);                 // regions
+  sink.u64(1);                 // LPN rows
+  sink.u64(0);                 // lpn
+  sink.u64(~std::uint64_t{0});  // unmapped page-mode entry: accepted
+  sink.u8(1);                  // sub-table follows
+  for (int k = 0; k < 4; ++k) {
+    sink.u64(k == 2 ? total_pages() : ~std::uint64_t{0});
+    sink.u8(0);
+  }
+  sink.u64(0);  // directories
+  const std::vector<std::uint8_t> blob = sink.take();
+  EXPECT_DEATH(apply(blob), "PPN outside the device");
+}
+
+TEST_F(MrsmJournalDeathTest, SnapshotDirectoryPastTheDeviceFails) {
+  // The empty device's snapshot ends with a zero directory count; make it
+  // one directory, sitting one past the last page.
+  ssd::ByteSink sink;
+  scheme().serialize_mapping(sink);
+  sink.patch_u64(sink.size() - 8, 1);
+  sink.u64(total_pages());
+  sink.u64(7);  // pack id
+  for (int i = 0; i < 4; ++i) sink.u8(0);
+  const std::vector<std::uint8_t> blob = sink.take();
+  EXPECT_DEATH(
+      {
+        ssd::ByteSource src(blob);
+        scheme().deserialize_mapping(src);
+      },
+      "PPN outside the device");
 }
 
 }  // namespace
