@@ -3,6 +3,7 @@
 // of these.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -107,14 +108,15 @@ class LatencyRecorder {
   }
 
   // Tail-latency accessors for the queue-depth sweeps (ns; p* approximate
-  // via the log2 histogram, max exact via the streaming summary). All
-  // return 0 on an empty distribution — check empty() first rather than
-  // treating that 0 as a measured latency.
+  // via the log2 histogram, clamped to the exact observed [min, max] so a
+  // bucket midpoint never reports a latency no sample had; max exact via the
+  // streaming summary). All return 0 on an empty distribution — check
+  // empty() first rather than treating that 0 as a measured latency.
   [[nodiscard]] bool empty() const { return hist_.empty(); }
-  [[nodiscard]] double p50_ns() const { return hist_.percentile(50); }
-  [[nodiscard]] double p95_ns() const { return hist_.percentile(95); }
-  [[nodiscard]] double p99_ns() const { return hist_.percentile(99); }
-  [[nodiscard]] double p999_ns() const { return hist_.percentile(99.9); }
+  [[nodiscard]] double p50_ns() const { return percentile(50); }
+  [[nodiscard]] double p95_ns() const { return percentile(95); }
+  [[nodiscard]] double p99_ns() const { return percentile(99); }
+  [[nodiscard]] double p999_ns() const { return percentile(99.9); }
   [[nodiscard]] double max_ns() const { return latency_.max(); }
 
   void merge(const LatencyRecorder& o) {
@@ -124,6 +126,10 @@ class LatencyRecorder {
   }
 
  private:
+  [[nodiscard]] double percentile(double p) const {
+    return std::clamp(hist_.percentile(p), latency_.min(), latency_.max());
+  }
+
   StreamingStats latency_;
   LogHistogram hist_;
   std::uint64_t sectors_ = 0;

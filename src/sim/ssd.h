@@ -66,15 +66,12 @@ class Ssd {
   /// the fully covered pages and are durable the instant they are accepted.
   [[nodiscard]] Completion submit(const ftl::IoRequest& req);
 
-  /// Pipeline device-stage entry (DESIGN.md §10): identical to submit() —
-  /// same classification, admission checks, oracle/shadow updates and stats,
-  /// in the same order — except that a read's plan is handed back through
-  /// `plan_out` instead of being verified inline, so the pipeline can verify
-  /// it on a worker thread while younger requests enter the device. The
-  /// caller owns serialization: calls must be externally ordered (the
-  /// pipeline holds its mutex across this call) and verification must finish
-  /// before any overlapping write is serviced (the range-lock table enforces
-  /// that). With the oracle off, `plan_out` is left empty.
+  /// QD scheduler device-stage entry (DESIGN.md §10): identical to submit()
+  /// — same classification, admission checks, oracle/shadow updates and
+  /// stats, in the same order — except that token buckets are not applied
+  /// and a read's plan is handed back through `plan_out` instead of being
+  /// verified inline; the scheduler verifies it before servicing the next
+  /// request. With the oracle off, `plan_out` is left empty.
   [[nodiscard]] Completion submit_deferred(const ftl::IoRequest& req,
                                            ftl::ReadPlan* plan_out);
 

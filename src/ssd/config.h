@@ -140,27 +140,25 @@ struct SsdConfig {
   };
   CapacityPolicy capacity;
 
-  /// Concurrent in-flight request pipeline (DESIGN.md §10). Zero-default:
-  /// `queue_depth <= 1` keeps the pipeline machinery out of the request path
-  /// entirely (no threads, no locks, no queue), so a default-config run is
-  /// bit-identical to a build without the subsystem. At `queue_depth > 1`
-  /// the host driver keeps up to queue_depth requests in flight: the device
-  /// stage still services them in submission order (determinism contract),
-  /// but their simulated issue times overlap across channels/chips and read
-  /// verification completes out of order on worker threads.
+  /// Queue-depth scheduler (DESIGN.md §10). Zero-default: `queue_depth <= 1`
+  /// without open loop keeps the scheduler's gates out of the request path
+  /// entirely, so a default-config run is bit-identical to a build without
+  /// the subsystem. At `queue_depth > 1` the host driver keeps up to
+  /// queue_depth requests in flight in simulated time: the device still
+  /// services them one at a time in submission order, but their simulated
+  /// issue times overlap across channels/chips.
   struct PipelineConfig {
     /// Host requests allowed in flight at once (closed-loop driver). 0 or 1
     /// = pipeline off; the inline serial path services every request.
     std::uint32_t queue_depth = 0;
-    /// Worker threads (via common/thread_pool.h) that drive the device
-    /// stage and verify completed reads. 0 = pick a small default. Worker
-    /// count never changes any simulated number — only wall-clock time.
+    /// Has no effect: the scheduler runs every request on the caller
+    /// thread. Kept so callers that set it still compile.
     std::uint32_t workers = 0;
-    /// Granularity of the sharded per-LPN-range lock table: logical pages
-    /// per lock region. Smaller regions mean fewer false conflicts between
-    /// near-miss requests; larger regions mean fewer lock entries per
-    /// request. Dependency gating (and therefore simulated timing) keys off
-    /// the same regions, so this knob is part of the determinism tuple.
+    /// Granularity of the dependency-gate table: logical pages per region.
+    /// Smaller regions mean fewer false dependencies between near-miss
+    /// requests; larger regions mean fewer gates per request. Simulated
+    /// timing keys off these regions, so this knob is part of the
+    /// determinism tuple.
     std::uint32_t region_pages = 1;
     /// Open-loop arrivals: issue each request at its trace timestamp (still
     /// honoring dependency ordering) instead of the closed-loop QD window,
@@ -169,9 +167,6 @@ struct SsdConfig {
     bool open_loop = false;
 
     [[nodiscard]] bool enabled() const { return queue_depth > 1 || open_loop; }
-    [[nodiscard]] std::uint32_t effective_workers() const {
-      return workers > 0 ? workers : 2;
-    }
   };
   PipelineConfig pipeline;
 

@@ -3,10 +3,9 @@
 // they decide *what* to read, program and remap; the engine decides *where*
 // pages land, *when* operations complete, and keeps every figure's counters.
 //
-// Threading: deliberately unsynchronized. Under the concurrent pipeline
-// (DESIGN.md §10) the engine is device-stage-confined — exactly one thread
-// at a time calls into it, serialized by the pipeline mutex — and on the
-// serial path it is owned by the caller. Nothing here may block or spawn.
+// Threading: deliberately unsynchronized. The serial path and the QD
+// scheduler (DESIGN.md §10) both call into it from the caller thread, one
+// request at a time. Nothing here may block or spawn.
 #pragma once
 
 #include <array>

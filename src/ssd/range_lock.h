@@ -1,216 +1,105 @@
-// Sharded per-LPN-range lock table for the in-flight request pipeline
-// (DESIGN.md §10).
+// Per-region dependency gates for the in-order QD scheduler (DESIGN.md §10).
 //
-// Each logical-page region keeps a FIFO of outstanding tickets in submission
-// order. A ticket covers every region its sector extent touches and is either
-// shared (reads — many may verify the same region at once) or exclusive
-// (writes — nothing may observe the region until the write's oracle/shadow
-// update is visible). Barrier tickets (trims, flushes) conflict with every
-// region without enumerating them: a trim may cover half the device, and
-// fairness demands it simply waits for everything older and blocks
-// everything younger.
+// The logical space is cut into fixed regions of `region_sectors` sectors.
+// For every region the table keeps the latest simulated completion of any
+// access that touched it and of any write that touched it. A read must
+// issue after the newest overlapping write has completed; a write after
+// every overlapping access has completed (it must not complete before an
+// older read of the data it replaces has been served).
 //
-// Eligibility — not blocking — is the table's job: the pipeline asks whether
-// the *oldest unserviced* request may enter the device stage, and workers
-// sleep on the pipeline's own condition variable between release() calls.
-// That keeps the lock-ordering story trivial: the pipeline mutex is always
-// acquired before any shard mutex, and shard mutexes are never held across a
-// wait (see the lock-ordering rules in DESIGN.md §10).
-//
-// The table also carries the happens-before edge that makes out-of-order
-// read verification race-free: a writer releases its exclusive ticket
-// (shard mutex release) before any overlapping reader's eligibility check
-// (shard mutex acquire) can succeed, so the oracle-shadow cells the verifier
-// compares are published by the mutex pair, with no atomics on the data.
+// The scheduler services requests one at a time in submission order, so the
+// table needs no locking: it is a flat vector indexed by region. Barriers
+// (trims) are not recorded per region — the scheduler's barrier gate is at
+// or after every completion older than the barrier, so it dominates every
+// region gate the barrier would have cleared.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
 #include "common/interval.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/types.h"
 
 namespace af::ssd {
 
 class RangeLockTable {
  public:
-  /// `region_sectors`: sectors per lock region (page-aligned granularity).
-  /// `shards`: power-of-two count of independently locked region maps.
-  explicit RangeLockTable(std::uint64_t region_sectors,
-                          std::uint32_t shards = 16)
-      : region_sectors_(region_sectors), shards_(shards) {
-    AF_CHECK_MSG(region_sectors_ > 0, "range lock needs a region size");
-    AF_CHECK_MSG(shards_ > 0 && (shards_ & (shards_ - 1)) == 0,
-                 "shard count must be a power of two");
+  /// `region_sectors`: sectors per gate region; `logical_sectors` sizes the
+  /// table to cover the whole logical space.
+  RangeLockTable(std::uint64_t region_sectors, std::uint64_t logical_sectors)
+      : region_sectors_(region_sectors) {
+    AF_CHECK_MSG(region_sectors_ > 0, "gate table needs a region size");
+    gates_.resize((logical_sectors + region_sectors_ - 1) / region_sectors_);
   }
 
   RangeLockTable(const RangeLockTable&) = delete;
   RangeLockTable& operator=(const RangeLockTable&) = delete;
 
-  /// One outstanding request's claim on its regions. Value-moved between the
-  /// pipeline's queues; the table only reads it after acquire().
-  struct Ticket {
-    std::uint64_t seq = 0;
-    bool exclusive = false;
-    bool barrier = false;
-    std::vector<std::uint64_t> regions;  // empty for barrier tickets
-
-    [[nodiscard]] bool valid() const { return barrier || !regions.empty(); }
-  };
-
+  /// Counted since construction.
   struct Stats {
-    std::uint64_t acquisitions = 0;
+    std::uint64_t acquisitions = 0;  // every gated request, barriers included
     std::uint64_t barrier_acquisitions = 0;
-    std::uint64_t region_entries = 0;  // region FIFO pushes
+    std::uint64_t region_entries = 0;  // regions gated by non-barrier requests
   };
 
-  /// Enqueues a ticket for `range` behind every older ticket that touches
-  /// the same regions. Must be called with strictly increasing `seq` (the
-  /// pipeline's submission order) from one thread at a time.
-  [[nodiscard]] Ticket acquire(std::uint64_t seq, SectorRange range,
-                               bool exclusive) {
-    Ticket t;
-    t.seq = seq;
-    t.exclusive = exclusive;
-    const std::uint64_t first = range.begin / region_sectors_;
-    const std::uint64_t last = (range.end - 1) / region_sectors_;
-    t.regions.reserve(last - first + 1);
-    for (std::uint64_t r = first; r <= last; ++r) t.regions.push_back(r);
-    for (std::uint64_t r : t.regions) {
-      Shard& s = shard_of(r);
-      MutexLock lock(s.mu);
-      s.queues[r].push_back(Entry{seq, exclusive});
-    }
-    {
-      MutexLock lock(order_mu_);
-      outstanding_.push_back(seq);
-      stats_.acquisitions += 1;
-      stats_.region_entries += t.regions.size();
-    }
-    return t;
+  /// The regions [first, last] a request touches.
+  struct Span {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+  };
+
+  [[nodiscard]] Span span(SectorRange range) const {
+    AF_CHECK_MSG(!range.empty() && range.end <= region_sectors_ * gates_.size(),
+                 "request outside the gate table");
+    return {range.begin / region_sectors_, (range.end - 1) / region_sectors_};
   }
 
-  /// Enqueues a whole-device barrier (trim/flush): eligible only once every
-  /// older ticket has been released, and blocks every younger ticket until
-  /// released itself.
-  [[nodiscard]] Ticket acquire_barrier(std::uint64_t seq) {
-    Ticket t;
-    t.seq = seq;
-    t.exclusive = true;
-    t.barrier = true;
-    MutexLock lock(order_mu_);
-    outstanding_.push_back(seq);
-    barriers_.push_back(seq);
+  /// Counts one request over `regions` and returns the completion it must
+  /// issue after: the newest overlapping write for a read, the newest
+  /// overlapping access of any kind for a write.
+  [[nodiscard]] SimTime acquire(Span regions, bool write) {
+    stats_.acquisitions += 1;
+    stats_.region_entries += regions.last - regions.first + 1;
+    SimTime gate = 0;
+    for (std::uint64_t r = regions.first; r <= regions.last; ++r) {
+      gate = std::max(gate, write ? gates_[r].last_any : gates_[r].last_excl);
+    }
+    return gate;
+  }
+
+  /// Counts one barrier; its ordering lives in the scheduler's barrier gate.
+  void acquire_barrier() {
     stats_.acquisitions += 1;
     stats_.barrier_acquisitions += 1;
-    return t;
   }
 
-  /// True when nothing older conflicts: a shared ticket sees no older
-  /// exclusive in any of its regions, an exclusive ticket is the oldest in
-  /// all of its regions, and a barrier is the oldest ticket outright. Any
-  /// ticket younger than an outstanding barrier is ineligible.
-  [[nodiscard]] bool eligible(const Ticket& t) const {
-    {
-      MutexLock lock(order_mu_);
-      if (t.barrier) {
-        return !outstanding_.empty() && outstanding_.front() == t.seq;
-      }
-      if (!barriers_.empty() && barriers_.front() < t.seq) return false;
-    }
-    for (std::uint64_t r : t.regions) {
-      const Shard& s = shard_of(r);
-      MutexLock lock(s.mu);
-      const auto it = s.queues.find(r);
-      AF_CHECK_MSG(it != s.queues.end(), "eligible() on a released ticket");
-      for (const Entry& e : it->second) {
-        if (e.seq >= t.seq) break;  // FIFO: the rest is younger
-        if (e.exclusive || t.exclusive) return false;
-      }
-    }
-    return true;
-  }
-
-  /// Removes the ticket from its region FIFOs. Safe from any thread; the
-  /// caller notifies the pipeline's condition variable afterwards so waiting
-  /// workers re-check eligibility.
-  void release(const Ticket& t) {
-    for (std::uint64_t r : t.regions) {
-      Shard& s = shard_of(r);
-      MutexLock lock(s.mu);
-      const auto it = s.queues.find(r);
-      AF_CHECK_MSG(it != s.queues.end(), "release() of an unknown region");
-      auto& q = it->second;
-      bool erased = false;
-      for (auto e = q.begin(); e != q.end(); ++e) {
-        if (e->seq == t.seq) {
-          q.erase(e);
-          erased = true;
-          break;
-        }
-      }
-      AF_CHECK_MSG(erased, "release() of a ticket not in its region FIFO");
-      if (q.empty()) s.queues.erase(it);
-    }
-    MutexLock lock(order_mu_);
-    bool erased = false;
-    for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
-      if (*it == t.seq) {
-        outstanding_.erase(it);
-        erased = true;
-        break;
-      }
-    }
-    AF_CHECK_MSG(erased, "release() of an unknown ticket");
-    if (t.barrier) {
-      AF_CHECK(!barriers_.empty() && barriers_.front() == t.seq);
-      barriers_.pop_front();
+  /// Records a request over `regions` that completes at `done`.
+  void complete(Span regions, bool write, SimTime done) {
+    for (std::uint64_t r = regions.first; r <= regions.last; ++r) {
+      gates_[r].last_any = std::max(gates_[r].last_any, done);
+      if (write) gates_[r].last_excl = std::max(gates_[r].last_excl, done);
     }
   }
 
-  [[nodiscard]] Stats stats() const {
-    MutexLock lock(order_mu_);
-    return stats_;
-  }
+  /// Zeroes every gate; the stats keep counting.
+  void clear_gates() { std::fill(gates_.begin(), gates_.end(), Gate{}); }
+
+  [[nodiscard]] Stats stats() const { return stats_; }
   [[nodiscard]] std::uint64_t region_sectors() const {
     return region_sectors_;
   }
-  [[nodiscard]] std::uint32_t shards() const { return shards_; }
 
  private:
-  struct Entry {
-    std::uint64_t seq = 0;
-    bool exclusive = false;
+  struct Gate {
+    SimTime last_any = 0;   // latest completion touching the region
+    SimTime last_excl = 0;  // latest write completion touching the region
   };
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::uint64_t, std::deque<Entry>> queues
-        AF_GUARDED_BY(mu);
-  };
-
-  [[nodiscard]] Shard& shard_of(std::uint64_t region) {
-    return shards_store_[region & (shards_ - 1)];
-  }
-  [[nodiscard]] const Shard& shard_of(std::uint64_t region) const {
-    return shards_store_[region & (shards_ - 1)];
-  }
 
   const std::uint64_t region_sectors_;
-  const std::uint32_t shards_;
-  // af_lint: allow(pipeline-guarded-state) — the vector itself is immutable
-  // after construction (sized once, never resized); all mutable state lives
-  // inside each Shard under its own mutex.
-  std::vector<Shard> shards_store_{shards_};
-  // Submission-ordered seqs of outstanding tickets plus the barrier subset;
-  // both deques stay sorted because acquire() is called in seq order.
-  mutable Mutex order_mu_;
-  std::deque<std::uint64_t> outstanding_ AF_GUARDED_BY(order_mu_);
-  std::deque<std::uint64_t> barriers_ AF_GUARDED_BY(order_mu_);
-  Stats stats_ AF_GUARDED_BY(order_mu_);
+  std::vector<Gate> gates_;
+  Stats stats_;
 };
 
 }  // namespace af::ssd

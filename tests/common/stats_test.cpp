@@ -73,6 +73,24 @@ TEST(LatencyRecorder, PerSectorNormalisation) {
   EXPECT_DOUBLE_EQ(r.latency().mean(), 2000.0);
 }
 
+TEST(LatencyRecorder, PercentilesStayWithinObservedRange) {
+  // 1100 ns lands in the [1024, 2048) bucket, whose midpoint 1536 exceeds
+  // the only sample: every percentile must report the sample instead.
+  LatencyRecorder high;
+  high.record(1100, 1);
+  EXPECT_DOUBLE_EQ(high.histogram().percentile(99.9), 1536.0);
+  for (const double p : {high.p50_ns(), high.p95_ns(), high.p99_ns(),
+                         high.p999_ns()}) {
+    EXPECT_DOUBLE_EQ(p, 1100.0);
+  }
+  EXPECT_LE(high.p999_ns(), high.max_ns());
+  // 2000 ns sits above the same midpoint, so the clamp raises it to min.
+  LatencyRecorder low;
+  low.record(2000, 1);
+  EXPECT_DOUBLE_EQ(low.p50_ns(), 2000.0);
+  EXPECT_DOUBLE_EQ(LatencyRecorder{}.p99_ns(), 0.0);
+}
+
 TEST(LatencyRecorder, Merge) {
   LatencyRecorder a, b;
   a.record(100, 1);

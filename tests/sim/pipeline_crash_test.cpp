@@ -1,10 +1,10 @@
-// Power-cut windows under the concurrent pipeline (DESIGN.md §10): a cut
-// fired mid-run at QD16 must leave a mountable image whose recovered state
-// matches every acknowledged write, with at most the one in-flight request's
-// sectors readable at their pre-crash version. The pipeline abandons the
-// queued-but-unserviced tail (those writes were never acknowledged and never
-// stamped the oracle), so the post-mount sweep plus a host-style retry of
-// the unexecuted requests must land the device back in a fully verified
+// Power-cut windows under the QD scheduler (DESIGN.md §10): a cut fired
+// mid-run at QD16 must leave a mountable image whose recovered state matches
+// every acknowledged write, with at most the one interrupted request's
+// sectors readable at their pre-crash version. The submit() whose device
+// stage hits the cut throws, so the records end at that request and it alone
+// is unexecuted; the post-mount sweep plus a host-style retry of it and the
+// never-submitted remainder must land the device back in a fully verified
 // state — across all three schemes, with the checkpoint journal on.
 #include <gtest/gtest.h>
 
@@ -42,7 +42,6 @@ void run_cut_and_recover(ftl::SchemeKind kind, std::uint64_t at_op,
                          std::uint64_t seed) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   config.checkpoint.interval_requests = 32;
   const auto reqs = churn_workload(config, 500, seed);
 
@@ -51,14 +50,23 @@ void run_cut_and_recover(ftl::SchemeKind kind, std::uint64_t at_op,
       nand::PowerCutPlan{at_op, seed});
 
   bool crashed = false;
+  std::size_t crash_index = 0;  // the request whose submit() threw
   try {
-    for (const auto& req : reqs) pipeline.submit(req);
+    for (; crash_index < reqs.size(); ++crash_index) {
+      pipeline.submit(reqs[crash_index]);
+    }
     pipeline.drain();
   } catch (const nand::PowerLoss& loss) {
     crashed = true;
     EXPECT_EQ(loss.op_index, at_op);
   }
   ASSERT_TRUE(crashed) << "cut op " << at_op << " beyond the trace horizon";
+  // The records end at the interrupted request; it alone never executed.
+  ASSERT_EQ(pipeline.records().size(), crash_index + 1);
+  EXPECT_FALSE(pipeline.records().back().executed);
+  for (std::size_t i = 0; i < crash_index; ++i) {
+    EXPECT_TRUE(pipeline.records()[i].executed) << "request " << i;
+  }
   EXPECT_TRUE(pipeline.crashed());
   EXPECT_EQ(pipeline.crash_op_index(), at_op);
   // The host keeps learning of the crash at every later interaction.
@@ -106,7 +114,7 @@ void run_cut_and_recover(ftl::SchemeKind kind, std::uint64_t at_op,
   EXPECT_LE(tolerated_sectors, inflight.size());
 
   // Host-style retry: replay everything the pipeline never serviced (the
-  // abandoned tail and the never-submitted remainder) on the mounted
+  // interrupted request and the never-submitted remainder) on the mounted
   // device, then prove the whole logical space reads back verified.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (i < records.size() && records[i].executed) continue;

@@ -4,8 +4,8 @@
 //  - QD=1 (pipeline disabled) is bit-identical to driving the serial engine
 //    one request at a time — every completion time, stat counter, wear cell
 //    and oracle stamp, across all three schemes.
-//  - QD>1 is deterministic in (config, trace, queue depth) regardless of
-//    worker count, and never violates completion-order safety: a read's
+//  - QD>1 is deterministic in (config, trace, queue depth) — pinned by
+//    golden hashes — and never violates completion-order safety: a read's
 //    simulated issue waits for the newest overlapping write completion, and
 //    trims act as full barriers. The built-in oracle verification aborts the
 //    process on any stale read, so merely finishing a run is itself an
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,100 @@ std::vector<ftl::IoRequest> mixed_workload(const ssd::SsdConfig& config,
       const std::uint64_t page = req.range.begin / spp;
       req = {req.arrival, /*write=*/false, SectorRange::of(page * spp, spp),
              /*trim=*/true};
+    }
+    out.push_back(req);
+  }
+  return out;
+}
+
+/// FNV-1a over the exact bits of every simulated number a pipeline run
+/// produces: each completion record, the device counters, the lock-table
+/// stats and every oracle stamp. Two runs hash equal only if they agree on
+/// all of it.
+class Fingerprint {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t fingerprint(const SsdPipeline& pipeline) {
+  Fingerprint f;
+  for (const auto& r : pipeline.records()) {
+    f.add(r.submitted);
+    f.add(r.done);
+    f.add(r.queue_delay);
+    f.add(static_cast<std::uint64_t>(r.cls));
+    f.add(std::uint64_t{r.executed} | std::uint64_t{r.accepted} << 1 |
+          std::uint64_t{r.data_lost} << 2);
+  }
+  const Ssd& device = pipeline.device();
+  const auto& stats = device.stats();
+  f.add(stats.flash_reads());
+  f.add(stats.flash_writes());
+  f.add(stats.erases());
+  f.add(stats.total_io_time_ns());
+  f.add(stats.all_reads().latency().sum());
+  f.add(stats.all_writes().latency().sum());
+  f.add(device.engine().gc_runs());
+  f.add(pipeline.submitted());
+  f.add(pipeline.verified_sectors());
+  f.add(pipeline.lost_requests());
+  f.add(pipeline.makespan_ns());
+  const auto locks = pipeline.lock_stats();
+  f.add(locks.acquisitions);
+  f.add(locks.barrier_acquisitions);
+  f.add(locks.region_entries);
+  for (SectorAddr s = 0; s < device.config().logical_sectors(); ++s) {
+    f.add(device.oracle()->expected(s));
+  }
+  return f.value();
+}
+
+std::uint64_t run_and_fingerprint(const ssd::SsdConfig& config,
+                                  ftl::SchemeKind kind,
+                                  const std::vector<ftl::IoRequest>& reqs) {
+  SsdPipeline pipeline(config, kind);
+  for (const auto& req : reqs) pipeline.submit(req);
+  pipeline.drain();
+  return fingerprint(pipeline);
+}
+
+/// Closed-loop golden workload: overwrite churn on a third of the logical
+/// space (enough to run GC on the tiny device), every request shape the
+/// generator knows, a one-page trim barrier every 53 requests and a
+/// same-LPN read-after-write storm on one hot page for 12 of every 100.
+std::vector<ftl::IoRequest> golden_closed_loop(const ssd::SsdConfig& config,
+                                               std::uint64_t seed) {
+  const auto spp = config.geometry.sectors_per_page();
+  const std::uint64_t footprint = config.logical_pages() / 3;
+  test::WorkloadGen gen(footprint * spp, spp, seed);
+  Rng rng(seed + 1);
+  const std::uint64_t hot = 5;
+  std::vector<ftl::IoRequest> out;
+  for (SimTime i = 0; i < 2400; ++i) {
+    ftl::IoRequest req;
+    if (i % 53 == 52) {
+      req = {i, /*write=*/false,
+             SectorRange::of(rng.below(footprint) * spp, spp), /*trim=*/true};
+    } else if (i % 100 < 12) {
+      SectorRange range = SectorRange::of(hot * spp, spp);
+      if (i % 7 == 5) range = SectorRange::of(hot * spp + 4, 6);
+      if (i % 11 == 9) range = SectorRange::of(hot * spp - 2, 8);
+      req = {i, /*write=*/i % 3 == 0, range};
+    } else if (i % 2 == 0) {
+      req = {i, rng.chance(0.8),
+             SectorRange::of(rng.below(footprint) * spp, spp)};
+    } else {
+      req = gen.next();
     }
     out.push_back(req);
   }
@@ -101,7 +196,7 @@ TEST(Pipeline, QueueDepthOneIsBitIdenticalToSerialEngine) {
     const SerialRun serial = serial_reference(config, kind, reqs);
 
     SsdPipeline pipeline(config, kind);
-    EXPECT_EQ(pipeline.workers(), 1u);
+    EXPECT_EQ(pipeline.workers(), 0u);
     for (const auto& req : reqs) pipeline.submit(req);
     pipeline.drain();
 
@@ -128,50 +223,25 @@ TEST(Pipeline, QueueDepthOneIsBitIdenticalToSerialEngine) {
   }
 }
 
-/// Runs the same workload at the same queue depth with different worker
-/// counts; every simulated number must match exactly.
+/// The workers knob never changes a simulated number: a run with it set
+/// hashes equal to the pin, taken when the knob still chose a thread count.
 TEST(Pipeline, WorkerCountNeverChangesSimulatedResults) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 8;
+  config.pipeline.workers = 3;
   const auto reqs = mixed_workload(config, 1200, 29);
-
-  std::vector<SsdPipeline::CompletionRecord> baseline;
-  std::uint64_t base_reads = 0, base_writes = 0, base_erases = 0;
-  SimTime base_makespan = 0;
-  for (const std::uint32_t workers : {1u, 3u}) {
-    config.pipeline.workers = workers;
-    SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
-    EXPECT_EQ(pipeline.workers(), workers);
-    for (const auto& req : reqs) pipeline.submit(req);
-    pipeline.drain();
-    if (workers == 1) {
-      baseline = pipeline.records();
-      base_reads = pipeline.device().stats().flash_reads();
-      base_writes = pipeline.device().stats().flash_writes();
-      base_erases = pipeline.device().stats().erases();
-      base_makespan = pipeline.makespan_ns();
-      continue;
-    }
-    ASSERT_EQ(pipeline.records().size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(pipeline.records()[i].submitted, baseline[i].submitted);
-      EXPECT_EQ(pipeline.records()[i].done, baseline[i].done);
-    }
-    EXPECT_EQ(pipeline.device().stats().flash_reads(), base_reads);
-    EXPECT_EQ(pipeline.device().stats().flash_writes(), base_writes);
-    EXPECT_EQ(pipeline.device().stats().erases(), base_erases);
-    EXPECT_EQ(pipeline.makespan_ns(), base_makespan);
-  }
+  const std::uint64_t got =
+      run_and_fingerprint(config, ftl::SchemeKind::kAcrossFtl, reqs);
+  EXPECT_EQ(got, 0x78b77e965f7ad42cULL) << std::hex << "0x" << got;
 }
 
 /// Same-LPN read-after-write storm at QD16: the oracle inside the pipeline
 /// aborts on any read that observes a stale stamp, and the completion
 /// records must show every read issued at-or-after the newest overlapping
-/// write's completion (the property the range locks enforce).
+/// write's completion (the property the dependency gates enforce).
 TEST(Pipeline, SameLpnRawStormAtQd16KeepsReadsOrdered) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   const auto spp = config.geometry.sectors_per_page();
   SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
 
@@ -211,7 +281,6 @@ TEST(Pipeline, SameLpnRawStormAtQd16KeepsReadsOrdered) {
 TEST(Pipeline, TrimsActAsFullBarriers) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
-  config.pipeline.workers = 3;
   const auto spp = config.geometry.sectors_per_page();
   SsdPipeline pipeline(config, ftl::SchemeKind::kAcrossFtl);
 
@@ -247,10 +316,10 @@ TEST(Pipeline, TrimsActAsFullBarriers) {
 }
 
 /// QD16 with every background subsystem on at once — GC churn, scrub ticks,
-/// checkpoint journaling — stays deterministic across worker counts and
-/// oracle-clean. This is the configuration the completion-order oracle
-/// exists for: GC migrations and scrub relocations run inside the device
-/// stage while reads verify concurrently on other workers.
+/// checkpoint journaling — stays oracle-clean and matches its pinned hash.
+/// This is the configuration the completion-order oracle exists for: GC
+/// migrations and scrub relocations run inside the device stage between a
+/// read's service and its verification.
 TEST(Pipeline, GcScrubAndCheckpointStayDeterministicAtQd16) {
   auto config = test::tiny_config();
   config.pipeline.queue_depth = 16;
@@ -269,29 +338,64 @@ TEST(Pipeline, GcScrubAndCheckpointStayDeterministicAtQd16) {
         {t++, write, SectorRange::of(rng.below(footprint) * spp, spp)});
   }
 
-  std::vector<SsdPipeline::CompletionRecord> baseline;
-  std::uint64_t base_erases = 0, base_gc = 0;
-  for (const std::uint32_t workers : {2u, 4u}) {
-    config.pipeline.workers = workers;
-    SsdPipeline pipeline(config, ftl::SchemeKind::kMrsm);
+  SsdPipeline pipeline(config, ftl::SchemeKind::kMrsm);
+  for (const auto& req : reqs) pipeline.submit(req);
+  pipeline.drain();
+  EXPECT_GT(pipeline.device().stats().erases(), 0u) << "GC never ran";
+  EXPECT_NE(pipeline.device().checkpointer(), nullptr);
+  EXPECT_NE(pipeline.device().scrubber(), nullptr);
+  EXPECT_EQ(fingerprint(pipeline), 0x8dc7f3d3a0f4c570ULL)
+      << std::hex << "0x" << fingerprint(pipeline);
+}
+
+/// Golden pin for the QD scheduler, taken while the pipeline still ran its
+/// device stage and verification on worker threads: closed-loop QD16 on all
+/// three schemes with trim barriers, a hot-page read-after-write storm, GC,
+/// checkpoint journaling and scrub on; open-loop arrivals; and fair-share
+/// tenants. Any scheduler change must leave every hash alone.
+TEST(Pipeline, SimulatedResultsMatchGolden) {
+  const std::uint64_t closed_loop[] = {
+      0x1c8e1e8a6b48c787ULL, 0x391396c887953437ULL, 0x7ee0f2d1063214f0ULL};
+  for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
+    auto config = test::tiny_config();
+    config.pipeline.queue_depth = 16;
+    config.checkpoint.interval_requests = 64;
+    config.integrity.scrub_interval_requests = 128;
+    const auto reqs = golden_closed_loop(config, 101 + i);
+    SsdPipeline pipeline(config, kSchemes[i]);
     for (const auto& req : reqs) pipeline.submit(req);
     pipeline.drain();
     EXPECT_GT(pipeline.device().stats().erases(), 0u) << "GC never ran";
-    EXPECT_NE(pipeline.device().checkpointer(), nullptr);
-    EXPECT_NE(pipeline.device().scrubber(), nullptr);
-    if (workers == 2) {
-      baseline = pipeline.records();
-      base_erases = pipeline.device().stats().erases();
-      base_gc = pipeline.device().engine().gc_runs();
-      continue;
+    EXPECT_GT(pipeline.lock_stats().barrier_acquisitions, 0u);
+    EXPECT_EQ(fingerprint(pipeline), closed_loop[i])
+        << std::hex << "scheme " << i << ": 0x" << fingerprint(pipeline);
+  }
+
+  // Open loop: trace arrivals, only dependency ordering delays an issue.
+  {
+    auto config = test::tiny_config();
+    config.pipeline.open_loop = true;
+    config.pipeline.queue_depth = 8;
+    const auto reqs = mixed_workload(config, 1500, 59);
+    const std::uint64_t got =
+        run_and_fingerprint(config, ftl::SchemeKind::kAcrossFtl, reqs);
+    EXPECT_EQ(got, 0x1a777b9d64a15099ULL) << std::hex << "open loop: 0x" << got;
+  }
+
+  // Fair share: tenant 1 floods three of every four requests and may hold
+  // at most queue_depth / tenants of the simulated slots.
+  {
+    auto config = test::tiny_config();
+    config.pipeline.queue_depth = 16;
+    config.qos.tenants = 2;
+    config.qos.fair_share = true;
+    auto reqs = mixed_workload(config, 1500, 71);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      reqs[i].tenant = i % 4 == 0 ? 0 : 1;
     }
-    ASSERT_EQ(pipeline.records().size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      EXPECT_EQ(pipeline.records()[i].submitted, baseline[i].submitted);
-      EXPECT_EQ(pipeline.records()[i].done, baseline[i].done);
-    }
-    EXPECT_EQ(pipeline.device().stats().erases(), base_erases);
-    EXPECT_EQ(pipeline.device().engine().gc_runs(), base_gc);
+    const std::uint64_t got =
+        run_and_fingerprint(config, ftl::SchemeKind::kPageFtl, reqs);
+    EXPECT_EQ(got, 0xce3d1f1aedaa3f67ULL) << std::hex << "fair share: 0x" << got;
   }
 }
 

@@ -36,9 +36,15 @@ std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
 
 struct Golden {
   ftl::SchemeKind kind;
+  // Fills what would be padding. gtest names each case by the parameter's
+  // raw bytes, and padding bytes are indeterminate, so without this field a
+  // case's name could change from one process to the next.
+  std::uint32_t zero = 0;
   std::uint64_t mapping;  // every sampled serialize_mapping payload
   std::uint64_t journal;  // every sampled blob named by the mount root
 };
+static_assert(sizeof(ftl::SchemeKind) == 4 && sizeof(Golden) == 24,
+              "Golden must have no padding");
 
 class JournalGolden : public testing::TestWithParam<Golden> {};
 
@@ -108,12 +114,15 @@ TEST_P(JournalGolden, BytesMatchPinnedHashes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, JournalGolden,
-    testing::Values(Golden{ftl::SchemeKind::kPageFtl, 0x76636383dc9d81eaULL,
-                           0x37b74bcce64765beULL},
-                    Golden{ftl::SchemeKind::kAcrossFtl, 0x07c368e413b431fcULL,
-                           0x4589886c5ce201ebULL},
-                    Golden{ftl::SchemeKind::kMrsm, 0xf45127017301aaddULL,
-                           0x643c31d3b4954235ULL}),
+    testing::Values(Golden{.kind = ftl::SchemeKind::kPageFtl,
+                           .mapping = 0x76636383dc9d81eaULL,
+                           .journal = 0x37b74bcce64765beULL},
+                    Golden{.kind = ftl::SchemeKind::kAcrossFtl,
+                           .mapping = 0x07c368e413b431fcULL,
+                           .journal = 0x4589886c5ce201ebULL},
+                    Golden{.kind = ftl::SchemeKind::kMrsm,
+                           .mapping = 0xf45127017301aaddULL,
+                           .journal = 0x643c31d3b4954235ULL}),
     [](const testing::TestParamInfo<Golden>& param_info) {
       switch (param_info.param.kind) {
         case ftl::SchemeKind::kPageFtl:

@@ -595,7 +595,7 @@ void rule_pipeline_guarded_state(const FileView& f, std::vector<Finding>& out) {
   // an af::Mutex member are shared between threads; every trailing-underscore
   // data member there must say how it is synchronized: AF_GUARDED_BY /
   // AF_PT_GUARDED_BY, std::atomic, or an internally-synchronized type
-  // (Mutex, condition_variable, ThreadPool, RangeLockTable). Everything else
+  // (Mutex, condition_variable, ThreadPool). Everything else
   // needs an explicit af_lint allow with a justification — "I forgot the
   // annotation" and "this is thread-confined by design" must look different.
   if (!ends_with(f.path, ".h")) return;
@@ -618,7 +618,7 @@ void rule_pipeline_guarded_state(const FileView& f, std::vector<Finding>& out) {
   static const std::regex kMember(
       R"(^\s*[A-Za-z_][\w:<>,\s\*&]*[\s&\*>][A-Za-z_]\w*_\s*(;|=[^=]|\{))");
   static const char* kSyncTypes[] = {"Mutex", "condition_variable",
-                                     "ThreadPool", "RangeLockTable"};
+                                     "ThreadPool"};
   static const char* kSkipLeaders[] = {"static", "const",  "constexpr",
                                        "using",  "return", "friend",
                                        "enum",   "#",      "typedef"};
@@ -906,14 +906,11 @@ void rule_status_unchecked(const FunctionInfo& fn,
   }
 }
 
-/// Runs the three semantic rules over a prebuilt model. `tree_mode` demands
-/// the lock-order anchor edge (full-tree runs only).
-std::vector<Finding> semantic_findings(const Model& model, bool tree_mode) {
+/// Runs the three semantic rules over a prebuilt model.
+std::vector<Finding> semantic_findings(const Model& model) {
   std::vector<Finding> sem;
-  const lockorder::Hierarchy hierarchy =
-      tree_mode ? lockorder::default_hierarchy()
-                : lockorder::default_hierarchy_unanchored();
-  for (auto& f : lockorder::check(lockorder::build_graph(model), hierarchy)) {
+  for (auto& f : lockorder::check(lockorder::build_graph(model),
+                                  lockorder::default_hierarchy())) {
     if (starts_with(f.file, "src")) sem.push_back(std::move(f));
   }
   for (const FunctionInfo& fn : model.functions()) {
@@ -977,7 +974,7 @@ std::vector<Finding> lint_content(const std::string& display_path,
       starts_with(display_path, "bench/")) {
     const Model model =
         Model::build({SourceFile{display_path, content}});
-    append_filtered(f, semantic_findings(model, /*tree_mode=*/false), out);
+    append_filtered(f, semantic_findings(model), out);
   }
   return out;
 }
@@ -1011,7 +1008,7 @@ std::vector<Finding> lint_tree(const std::string& root) {
   // Semantic rules run once over the shared src/+bench/ model, so the
   // lock-order graph spans files; suppressions are honoured per file.
   const Model model = Model::build(model_files);
-  for (auto& s : semantic_findings(model, /*tree_mode=*/true)) {
+  for (auto& s : semantic_findings(model)) {
     const auto it = views.find(s.file);
     const std::size_t idx =
         s.line > 0 ? static_cast<std::size_t>(s.line - 1) : 0;

@@ -87,8 +87,7 @@ struct Finding {
 /// repo-relative path like "src/nand/flash_array.h" — several rules key off
 /// the directory). Exposed separately from lint_tree so tests can feed
 /// synthetic snippets under any pseudo-path. Semantic rules run against a
-/// single-file model here (cross-file resolution and the lock-order anchor
-/// are only demanded of lint_tree).
+/// single-file model here (cross-file resolution needs lint_tree).
 [[nodiscard]] std::vector<Finding> lint_content(const std::string& display_path,
                                                 const std::string& content);
 

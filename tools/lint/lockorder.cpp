@@ -351,21 +351,7 @@ class BodyWalker {
 
 }  // namespace
 
-bool Graph::has_edge(const std::string& from_suffix,
-                     const std::string& to_suffix) const {
-  return std::any_of(edges.begin(), edges.end(), [&](const Edge& e) {
-    return qualified_suffix_match(e.from, from_suffix) &&
-           qualified_suffix_match(e.to, to_suffix);
-  });
-}
-
 Hierarchy default_hierarchy() {
-  Hierarchy h = default_hierarchy_unanchored();
-  h.required_edges = {{"SsdPipeline::mu_", "RangeLockTable::Shard::mu"}};
-  return h;
-}
-
-Hierarchy default_hierarchy_unanchored() {
   Hierarchy h;
   h.levels = {
       {"SsdPipeline::mu_"},
@@ -505,7 +491,7 @@ std::vector<Finding> check(const Graph& graph, const Hierarchy& hierarchy) {
               "' (level " + std::to_string(lf) + ") held while acquiring '" +
               e.to + "' (level " + std::to_string(lt) +
               ") — the documented hierarchy acquires the pipeline mutex "
-              "before any range-lock shard mutex (DESIGN.md §10)"});
+              "before any range-lock shard mutex"});
     } else if (lt == lf && !qualified_suffix_match(e.from, e.to)) {
       out.push_back(Finding{
           e.file, e.line, "lock-order",
@@ -515,28 +501,6 @@ std::vector<Finding> check(const Graph& graph, const Hierarchy& hierarchy) {
     }
   }
 
-  // Anchor edges: the documented chain must still be visible.
-  for (const auto& [from, to] : hierarchy.required_edges) {
-    if (graph.has_edge(from, to)) continue;
-    // Anchor at the from-mutex's declaration when known.
-    std::string file = "src";
-    int line = 1;
-    for (const MutexDecl& m : graph.mutexes) {
-      if (qualified_suffix_match(m.id, from)) {
-        file = m.file;
-        line = m.line;
-        break;
-      }
-    }
-    out.push_back(Finding{
-        file, line, "lock-order",
-        "lock-order anchor missing: expected the documented '" + from +
-            "' -> '" + to +
-            "' acquisition edge, but the graph no longer contains it — "
-            "either the locking structure changed (update the hierarchy in "
-            "tools/lint/lockorder.cpp and DESIGN.md §10) or the analyzer "
-            "lost resolution of the call chain"});
-  }
   return out;
 }
 

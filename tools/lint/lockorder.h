@@ -10,25 +10,19 @@
 //     lockvar.unlock()/.lock() pairs are tracked);
 //   * a call while holding H adds edges h -> a for every mutex a the callee
 //     transitively acquires (call summaries are closed over a fixpoint, so
-//     SsdPipeline::worker_loop holding mu_ calling
-//     RangeLockTable::eligible() yields the pipeline-mutex -> shard-mutex
-//     edge even though the shard lock lives two files away);
+//     a pipeline method holding its mutex while calling a lock table's
+//     method yields the pipeline-mutex -> shard-mutex edge even though the
+//     shard lock lives two files away);
 //   * AF_REQUIRES / AF_EXCLUSIVE_LOCKS_REQUIRED capabilities are *held at
 //     entry*, not acquired, so annotated helpers contribute edges from the
 //     required mutex without ever being acquisition sites themselves.
 //
 // The resulting graph fails the lint on
 //   * any cycle (including self-edges: re-acquiring a held non-reentrant
-//     mutex is an instant deadlock),
+//     mutex is an instant deadlock), and
 //   * any edge that lands on the same or an earlier level of the documented
-//     hierarchy (the normative statement of PR 7's ordering: the pipeline
-//     mutex is always acquired before any range-lock shard mutex — see
-//     DESIGN.md §10), and
-//   * a missing *anchor edge*: the documented pipeline-mutex ->
-//     range-lock-shard edge must be present in the graph built from the real
-//     tree. That guards the analysis itself — if a refactor renames the
-//     members or the parser stops resolving the call chain, the lint fails
-//     loudly instead of silently checking nothing.
+//     hierarchy (a pipeline mutex is always acquired before any range-lock
+//     shard mutex).
 //
 // Names in the hierarchy are qualified-name suffixes ("SsdPipeline::mu_"
 // matches "af::sim::SsdPipeline::mu_"), so fixtures can model the same
@@ -60,34 +54,24 @@ struct MutexDecl {
 struct Graph {
   std::vector<MutexDecl> mutexes;
   std::vector<Edge> edges;  // deduplicated on (from, to), first site kept
-
-  [[nodiscard]] bool has_edge(const std::string& from_suffix,
-                              const std::string& to_suffix) const;
 };
 
 struct Hierarchy {
   /// levels[i] must be acquired before levels[j] for i < j; mutexes in the
   /// same level must never nest. Entries are qualified-name suffixes.
   std::vector<std::vector<std::string>> levels;
-  /// Edges that must exist in the graph (suffix pairs) — anchors proving the
-  /// analysis still resolves the documented chain.
-  std::vector<std::pair<std::string, std::string>> required_edges;
 };
 
 /// The project's documented order: SsdPipeline::mu_ before the range-lock
-/// table's order/shard mutexes (DESIGN.md §10). ThreadPool::mu_ is a leaf
-/// taken on its own and is deliberately outside the hierarchy (cycle
-/// detection still covers it).
+/// table's order/shard mutexes. The single-threaded scheduler holds neither
+/// today; the levels keep the order for any locked pipeline and the fixture
+/// tests model it. ThreadPool::mu_ is a leaf taken on its own and is
+/// deliberately outside the hierarchy (cycle detection still covers it).
 [[nodiscard]] Hierarchy default_hierarchy();
-
-/// Anchor-free variant of default_hierarchy() for linting arbitrary file
-/// subsets (single files, diffs): order violations and cycles still fail,
-/// but the pipeline->shard anchor is only demanded of the full tree.
-[[nodiscard]] Hierarchy default_hierarchy_unanchored();
 
 [[nodiscard]] Graph build_graph(const Model& model);
 
-/// Cycle + hierarchy + anchor findings; rule name "lock-order".
+/// Cycle + hierarchy findings; rule name "lock-order".
 [[nodiscard]] std::vector<Finding> check(const Graph& graph,
                                          const Hierarchy& hierarchy);
 
