@@ -20,6 +20,8 @@ AcrossFtl::AcrossFtl(ssd::Engine& engine) : FtlScheme(engine) {
   pmt_tpages_ = (logical + pmt_entries_per_tpage_ - 1) / pmt_entries_per_tpage_;
   // At most one live area per LPN pair; size the id space generously.
   max_amt_entries_ = logical;
+  dirty_lpns_ = DirtyBits(logical);
+  dirty_areas_ = DirtyBits(max_amt_entries_);
   const std::uint64_t amt_tpages =
       (max_amt_entries_ + amt_entries_per_tpage_ - 1) / amt_entries_per_tpage_;
   engine.init_map_space(pmt_tpages_ + amt_tpages);
@@ -693,7 +695,7 @@ void source_amt_entry(ssd::ByteSource& src, AcrossFtl::AmtEntry& entry) {
 }
 }  // namespace
 
-void AcrossFtl::serialize_mapping(ssd::ByteSink& sink) const {
+void AcrossFtl::serialize_mapping(ssd::ByteSink& sink) {
   const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
   for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
@@ -714,21 +716,16 @@ void AcrossFtl::serialize_mapping(ssd::ByteSink& sink) const {
 }
 
 void AcrossFtl::serialize_delta(ssd::ByteSink& sink) {
-  std::sort(dirty_lpns_.begin(), dirty_lpns_.end());
-  dirty_lpns_.erase(std::unique(dirty_lpns_.begin(), dirty_lpns_.end()),
-                    dirty_lpns_.end());
-  sink.u64(dirty_lpns_.size());
-  for (const std::uint64_t l : dirty_lpns_) sink_pmt_entry(sink, l, pmt_[l]);
+  sink.u64(dirty_lpns_.count());
+  dirty_lpns_.for_each(
+      [&](std::uint64_t l) { sink_pmt_entry(sink, l, pmt_[l]); });
   dirty_lpns_.clear();
 
-  std::sort(dirty_areas_.begin(), dirty_areas_.end());
-  dirty_areas_.erase(std::unique(dirty_areas_.begin(), dirty_areas_.end()),
-                     dirty_areas_.end());
-  sink.u64(dirty_areas_.size());
-  for (const std::uint32_t a : dirty_areas_) {
-    sink.u32(a);
+  sink.u64(dirty_areas_.count());
+  dirty_areas_.for_each([&](std::uint64_t a) {
+    sink.u32(static_cast<std::uint32_t>(a));
     sink_amt_entry(sink, amt_[a]);
-  }
+  });
   dirty_areas_.clear();
 }
 

@@ -32,6 +32,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/dirty_bits.h"
 #include "ftl/scheme.h"
 
 namespace af::ftl {
@@ -75,7 +76,7 @@ class AcrossFtl final : public FtlScheme {
 
   // RecoverableMapping: PMT entries plus the full AMT (dead entries carry the
   // generation counters the valve FIFO depends on).
-  void serialize_mapping(ssd::ByteSink& sink) const override;
+  void serialize_mapping(ssd::ByteSink& sink) override;
   void serialize_delta(ssd::ByteSink& sink) override;
   void discard_delta() override;
   void deserialize_mapping(ssd::ByteSource& src) override;
@@ -153,10 +154,10 @@ class AcrossFtl final : public FtlScheme {
 
   // --- Crash recovery helpers -------------------------------------------------
   void journal_lpn(std::uint64_t lpn) {
-    if (journaling()) dirty_lpns_.push_back(lpn);
+    if (journaling()) dirty_lpns_.mark(lpn);
   }
   void journal_area(std::uint32_t aidx) {
-    if (journaling()) dirty_areas_.push_back(aidx);
+    if (journaling()) dirty_areas_.mark(aidx);
   }
   /// Replays a durable kData program: the new normal page supersedes this
   /// LPN's share of any area covering it (the shrink/rollback semantics).
@@ -183,8 +184,8 @@ class AcrossFtl final : public FtlScheme {
   bool area_weight_on_ = false;  // snapshot of config.across.area_live_weight
 
   // Delta-journal dirty sets (tracked only while journaling).
-  std::vector<std::uint64_t> dirty_lpns_;
-  std::vector<std::uint32_t> dirty_areas_;
+  DirtyBits dirty_lpns_;
+  DirtyBits dirty_areas_;  // keyed by aidx, sized to max_amt_entries_
 };
 
 }  // namespace af::ftl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace af::ftl {
 
@@ -25,6 +26,11 @@ MrsmFtl::MrsmFtl(ssd::Engine& engine)
   subs_.assign(static_cast<std::size_t>(logical), {});
   region_mode_.assign(
       static_cast<std::size_t>((logical + kRegionLpns - 1) / kRegionLpns), 0);
+  dirty_lpns_ = DirtyBits(logical);
+  dirty_regions_ = DirtyBits(region_mode_.size());
+  dirty_packed_ = DirtyBits(packed_.key_space());
+  rows_ = SnapshotSection(logical);
+  dirs_ = SnapshotSection(packed_.key_space());
 
   const std::uint64_t page_bytes = engine.geometry().page_bytes;
   page_entries_per_tpage_ = page_bytes / kPageEntryBytes;
@@ -539,6 +545,13 @@ void MrsmFtl::gc_relocate(Ppn victim, const nand::PageOwner& owner,
 // flat table's own order — determinism without a sort). Deltas re-emit the
 // *current* value of every dirty key, so replay order within one delta does
 // not matter.
+//
+// Both keyed sections of a snapshot are spliced: an entry's bytes depend
+// only on its key's current state, so a key the journal hooks have not
+// touched since the last snapshot encodes to the same bytes as before. The
+// splice copies runs of such keys from the last snapshot's bytes and
+// re-encodes only the stale ones. A cold encode is the same splice with an
+// empty previous section and every key stale.
 
 bool MrsmFtl::has_subs(std::uint64_t l) const {
   bool any = false;
@@ -612,59 +625,130 @@ MrsmFtl::PackedPage MrsmFtl::source_packed_dir(ssd::ByteSource& src) {
   return dir;
 }
 
-void MrsmFtl::serialize_mapping(ssd::ByteSink& sink) const {
-  sink.u64(next_pack_id_);
+void MrsmFtl::SnapshotSection::reset() {
+  std::fill(at.begin(), at.end(), 0);
+  stale.mark_all();
+  entries = 0;
+  begin = 0;
+}
 
-  sink.u64(region_mode_.size());
-  for (const std::uint8_t mode : region_mode_) sink.u8(mode);
+template <typename Emit>
+void MrsmFtl::SnapshotSection::splice(ssd::ByteSink& sink,
+                                      std::span<const std::uint8_t> prev,
+                                      Emit&& emit) {
+  const std::span<const std::uint8_t> old = prev.subspan(begin, at.back());
+  begin = sink.size();
+  const auto offset = [&] {
+    return static_cast<std::uint32_t>(sink.size() - begin);
+  };
+  // Keys below `cursor` already carry their new offsets; the rest still
+  // describe `old`.
+  std::uint64_t cursor = 0;
+  const auto copy_clean = [&](std::uint64_t end) {
+    const std::uint32_t from = at[cursor];
+    const std::uint32_t shift = offset() - from;  // modulo 2^32
+    sink.append(old.subspan(from, at[end] - from));
+    if (shift == 0) return;
+    for (std::uint64_t k = cursor; k < end; ++k) at[k] += shift;
+  };
+  stale.for_each([&](std::uint64_t key) {
+    copy_clean(key);
+    if (at[key] != at[key + 1]) --entries;
+    at[key] = offset();
+    if (emit(sink, key)) ++entries;
+    cursor = key + 1;
+  });
+  const std::uint64_t key_space = at.size() - 1;
+  copy_clean(key_space);
+  AF_CHECK_MSG(sink.size() - begin <= std::numeric_limits<std::uint32_t>::max(),
+               "snapshot section past 4 GiB");
+  at[key_space] = offset();
+  stale.clear();
+}
 
-  // One pass over the rows; the count is back-patched once known.
-  const std::size_t count_at = sink.u64_placeholder();
-  std::uint64_t count = 0;
-  for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
-    const bool subs = has_subs(l);
-    if (!subs && !pmt_[l].valid()) continue;
-    sink_lpn_entry(sink, l, subs);
-    ++count;
+void MrsmFtl::serialize_mapping(ssd::ByteSink& sink) {
+  if (cache_ != CacheState::kWarm) {
+    // A pending encode whose bytes never came back describes a buffer that
+    // is gone.
+    drop_snapshot_cache();
+    rows_.reset();
+    dirs_.reset();
   }
-  sink.patch_u64(count_at, count);
+  // The new snapshot is about the size of the adopted one, which is
+  // resident anyway; the slack covers growth without a second doubling.
+  sink.reserve(sink.size() + last_snapshot_.size() + last_snapshot_.size() / 8);
+
+  sink.u64(next_pack_id_);
+  sink.u64(region_mode_.size());
+  sink.append(region_mode_);
+
+  const std::size_t count_at = sink.u64_placeholder();
+  rows_.splice(sink, last_snapshot_, [this](ssd::ByteSink& s, std::uint64_t l) {
+    const bool subs = has_subs(l);
+    if (!subs && !pmt_[l].valid()) return false;
+    sink_lpn_entry(s, l, subs);
+    return true;
+  });
+  sink.patch_u64(count_at, rows_.entries);
 
   sink.u64(packed_.size());
-  packed_.for_each([&sink](std::uint64_t ppn, const PackedPage& dir) {
-    sink.u64(ppn);
-    sink_packed_dir(sink, dir);
+  dirs_.splice(sink, last_snapshot_, [this](ssd::ByteSink& s, std::uint64_t ppn) {
+    const PackedPage* dir = packed_.find(ppn);
+    if (dir == nullptr) return false;
+    s.u64(ppn);
+    sink_packed_dir(s, *dir);
+    return true;
   });
+  AF_CHECK(dirs_.entries == packed_.size());
+
+  // The sections now describe the bytes just written; the old ones are
+  // dead weight until those come back through adopt_snapshot.
+  last_snapshot_.clear();
+  last_snapshot_.shrink_to_fit();
+  cache_ = CacheState::kPending;
+}
+
+void MrsmFtl::adopt_snapshot(std::vector<std::uint8_t> bytes) {
+  // Without journaling no hook marks stale keys, so the bytes would go out
+  // of date unnoticed.
+  if (cache_ != CacheState::kPending || !journaling()) return;
+  AF_CHECK(bytes.size() >= dirs_.begin + dirs_.at.back());
+  last_snapshot_ = std::move(bytes);
+  cache_ = CacheState::kWarm;
+}
+
+void MrsmFtl::drop_snapshot_cache() {
+  last_snapshot_.clear();
+  last_snapshot_.shrink_to_fit();
+  cache_ = CacheState::kCold;
+}
+
+void MrsmFtl::enable_journal(bool on) {
+  FtlScheme::enable_journal(on);
+  // Changes made while the hooks were off were never marked stale.
+  drop_snapshot_cache();
 }
 
 void MrsmFtl::serialize_delta(ssd::ByteSink& sink) {
-  auto dedup = [](std::vector<std::uint64_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  dedup(dirty_regions_);
-  dedup(dirty_lpns_);
-  dedup(dirty_packed_);
-
   sink.u64(next_pack_id_);
 
-  sink.u64(dirty_regions_.size());
-  for (const std::uint64_t r : dirty_regions_) {
+  sink.u64(dirty_regions_.count());
+  dirty_regions_.for_each([&](std::uint64_t r) {
     sink.u64(r);
     sink.u8(region_mode_[r]);
-  }
+  });
 
-  sink.u64(dirty_lpns_.size());
-  for (const std::uint64_t l : dirty_lpns_) {
-    sink_lpn_entry(sink, l, has_subs(l));
-  }
+  sink.u64(dirty_lpns_.count());
+  dirty_lpns_.for_each(
+      [&](std::uint64_t l) { sink_lpn_entry(sink, l, has_subs(l)); });
 
-  sink.u64(dirty_packed_.size());
-  for (const std::uint64_t ppn : dirty_packed_) {
+  sink.u64(dirty_packed_.count());
+  dirty_packed_.for_each([&](std::uint64_t ppn) {
     sink.u64(ppn);
     const PackedPage* dir = packed_.find(ppn);
     sink.u8(dir != nullptr ? 1 : 0);
     if (dir != nullptr) sink_packed_dir(sink, *dir);
-  }
+  });
 
   discard_delta();
 }
@@ -676,6 +760,7 @@ void MrsmFtl::discard_delta() {
 }
 
 void MrsmFtl::deserialize_mapping(ssd::ByteSource& src) {
+  drop_snapshot_cache();
   next_pack_id_ = std::max(next_pack_id_, src.u64());
 
   const std::uint64_t regions = src.u64();
@@ -693,6 +778,7 @@ void MrsmFtl::deserialize_mapping(ssd::ByteSource& src) {
 }
 
 void MrsmFtl::apply_delta(ssd::ByteSource& src) {
+  drop_snapshot_cache();
   next_pack_id_ = std::max(next_pack_id_, src.u64());
 
   const std::uint64_t regions = src.u64();
@@ -756,6 +842,7 @@ void MrsmFtl::recover_claim_packed(const nand::OobRecord& oob, Ppn ppn) {
 }
 
 void MrsmFtl::recover_claim(const nand::OobRecord& oob, Ppn ppn) {
+  drop_snapshot_cache();
   switch (oob.owner.kind) {
     case nand::PageOwner::Kind::kData: {
       AF_CHECK(oob.owner.id < pmt_.size());
@@ -774,6 +861,7 @@ void MrsmFtl::recover_claim(const nand::OobRecord& oob, Ppn ppn) {
 }
 
 void MrsmFtl::recover_trim(SectorRange range) {
+  drop_snapshot_cache();
   const auto [first, last] = trim_span(range);
   for (std::uint64_t l = first; l < last; ++l) {
     const Lpn lpn{l};
@@ -815,6 +903,7 @@ void MrsmFtl::recover_enumerate(
 }
 
 void MrsmFtl::recover_finalize() {
+  drop_snapshot_cache();
   AF_CHECK_MSG(staged_.empty(), "GC staging buffer non-empty at mount");
 }
 

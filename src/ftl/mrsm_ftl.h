@@ -17,9 +17,11 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/dense_key_map.h"
+#include "common/dirty_bits.h"
 #include "ftl/scheme.h"
 
 namespace af::ftl {
@@ -41,8 +43,13 @@ class MrsmFtl final : public FtlScheme {
   [[nodiscard]] std::uint64_t map_bytes() const override;
 
   // RecoverableMapping: region modes, the page-mode PMT, the sub-page tables
-  // and the packed-page slot directories.
-  void serialize_mapping(ssd::ByteSink& sink) const override;
+  // and the packed-page slot directories. Snapshots are encoded
+  // incrementally: the bytes of the last one come back through
+  // adopt_snapshot, and the next copies its clean entries and re-encodes
+  // only the keys changed since.
+  void serialize_mapping(ssd::ByteSink& sink) override;
+  void adopt_snapshot(std::vector<std::uint8_t> bytes) override;
+  void enable_journal(bool on) override;
   void serialize_delta(ssd::ByteSink& sink) override;
   void discard_delta() override;
   void deserialize_mapping(ssd::ByteSource& src) override;
@@ -58,6 +65,14 @@ class MrsmFtl final : public FtlScheme {
     return region_mode_[lpn.get() / kRegionLpns] != 0;
   }
   [[nodiscard]] std::uint64_t sub_regions() const;
+  /// True when the next snapshot will splice from the last one's bytes.
+  [[nodiscard]] bool snapshot_cache_warm() const {
+    return cache_ == CacheState::kWarm;
+  }
+  /// Forgets the last snapshot's bytes: the next snapshot encodes every key
+  /// afresh. Every path that changes the tables outside the journal hooks
+  /// calls this.
+  void drop_snapshot_cache();
 
  private:
   /// Region size for the adaptive page-/sub-mapping switch.
@@ -133,14 +148,21 @@ class MrsmFtl final : public FtlScheme {
   [[nodiscard]] SimTime write_page_mode(const SubRequest& sub, SimTime ready);
 
   // --- Crash recovery helpers -------------------------------------------------
+  // Each hook marks the key for the next delta and, for rows and
+  // directories, stale for the next snapshot. Region modes are re-encoded
+  // whole in every snapshot (one byte each).
   void journal_lpn(std::uint64_t lpn) {
-    if (journaling()) dirty_lpns_.push_back(lpn);
+    if (!journaling()) return;
+    dirty_lpns_.mark(lpn);
+    rows_.stale.mark(lpn);
   }
   void journal_region(std::uint64_t region) {
-    if (journaling()) dirty_regions_.push_back(region);
+    if (journaling()) dirty_regions_.mark(region);
   }
   void journal_packed(Ppn ppn) {
-    if (journaling()) dirty_packed_.push_back(ppn.get());
+    if (!journaling()) return;
+    dirty_packed_.mark(ppn.get());
+    dirs_.stale.mark(ppn.get());
   }
   /// RAM-only variant of retire_subloc for claim replay: clears the old
   /// subloc and its packed-directory slot, never touching the engine.
@@ -157,6 +179,36 @@ class MrsmFtl final : public FtlScheme {
   static void sink_packed_dir(ssd::ByteSink& sink, const PackedPage& dir);
   static PackedPage source_packed_dir(ssd::ByteSource& src);
 
+  /// One keyed section of a snapshot (LPN rows, or packed directories in
+  /// PPN order) plus where each key's entry sits in the last encoded copy.
+  struct SnapshotSection {
+    explicit SnapshotSection(std::uint64_t key_space = 0)
+        : at(static_cast<std::size_t>(key_space) + 1, 0), stale(key_space) {}
+    /// Empties the section and marks every key stale, so the next splice
+    /// encodes all of them.
+    void reset();
+    /// Writes the section into `sink`: runs of clean keys are copied from
+    /// `prev` (the buffer the last splice wrote, or empty after reset), and
+    /// each stale key is re-encoded by `emit(sink, key)`, which returns
+    /// whether it wrote an entry. Updates `at` to the new layout and clears
+    /// `stale`.
+    template <typename Emit>
+    void splice(ssd::ByteSink& sink, std::span<const std::uint8_t> prev,
+                Emit&& emit);
+
+    /// at[k]: offset, from the section start, of the first entry whose key
+    /// is >= k; at[key_space] is the section length. Key k's entry spans
+    /// [at[k], at[k + 1]), which is empty when the key has no entry.
+    std::vector<std::uint32_t> at;
+    /// Keys whose entry may differ from the last encoded copy.
+    DirtyBits stale;
+    std::uint64_t entries = 0;
+    std::size_t begin = 0;  // section start within the encoded buffer
+  };
+  /// kPending: a snapshot was encoded and its bytes have not come back yet;
+  /// the sections describe those bytes. Only kWarm splices.
+  enum class CacheState { kCold, kPending, kWarm };
+
   std::vector<Ppn> pmt_;                          // page-mode mapping
   std::vector<std::array<SubLoc, kSubsPerPage>> subs_;  // sub-mode mapping
   std::vector<std::uint8_t> region_mode_;         // 0 = page, 1 = sub
@@ -171,9 +223,15 @@ class MrsmFtl final : public FtlScheme {
   std::uint64_t sub_entries_per_tpage_;
 
   // Delta-journal dirty sets (tracked only while journaling).
-  std::vector<std::uint64_t> dirty_lpns_;
-  std::vector<std::uint64_t> dirty_regions_;
-  std::vector<std::uint64_t> dirty_packed_;  // raw PPNs of touched directories
+  DirtyBits dirty_lpns_;
+  DirtyBits dirty_regions_;
+  DirtyBits dirty_packed_;  // raw PPNs of touched directories
+
+  // Incremental snapshot encoding.
+  SnapshotSection rows_;
+  SnapshotSection dirs_;
+  std::vector<std::uint8_t> last_snapshot_;  // the adopted snapshot's bytes
+  CacheState cache_ = CacheState::kCold;
 };
 
 }  // namespace af::ftl

@@ -8,7 +8,8 @@ namespace {
 constexpr std::uint64_t kPmtEntryBytes = 4;
 }
 
-PageFtl::PageFtl(ssd::Engine& engine) : FtlScheme(engine) {
+PageFtl::PageFtl(ssd::Engine& engine)
+    : FtlScheme(engine), dirty_lpns_(engine.config().logical_pages()) {
   const std::uint64_t logical = engine.config().logical_pages();
   pmt_.assign(static_cast<std::size_t>(logical), Ppn{});
   entries_per_tpage_ = engine.geometry().page_bytes / kPmtEntryBytes;
@@ -144,7 +145,7 @@ void PageFtl::gc_relocate(Ppn victim, const nand::PageOwner& owner,
 
 // --- RecoverableMapping -------------------------------------------------------
 
-void PageFtl::serialize_mapping(ssd::ByteSink& sink) const {
+void PageFtl::serialize_mapping(ssd::ByteSink& sink) {
   const std::size_t count_at = sink.u64_placeholder();
   std::uint64_t count = 0;
   for (std::uint64_t l = 0; l < pmt_.size(); ++l) {
@@ -157,14 +158,11 @@ void PageFtl::serialize_mapping(ssd::ByteSink& sink) const {
 }
 
 void PageFtl::serialize_delta(ssd::ByteSink& sink) {
-  std::sort(dirty_lpns_.begin(), dirty_lpns_.end());
-  dirty_lpns_.erase(std::unique(dirty_lpns_.begin(), dirty_lpns_.end()),
-                    dirty_lpns_.end());
-  sink.u64(dirty_lpns_.size());
-  for (const std::uint64_t l : dirty_lpns_) {
+  sink.u64(dirty_lpns_.count());
+  dirty_lpns_.for_each([&](std::uint64_t l) {
     sink.u64(l);
     sink.u64(pmt_[l].get());
-  }
+  });
   dirty_lpns_.clear();
 }
 

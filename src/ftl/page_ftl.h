@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/dirty_bits.h"
 #include "ftl/scheme.h"
 
 namespace af::ftl {
@@ -28,7 +29,7 @@ class PageFtl final : public FtlScheme {
   [[nodiscard]] std::uint64_t map_bytes() const override;
 
   // RecoverableMapping: the PMT is the whole mapping state.
-  void serialize_mapping(ssd::ByteSink& sink) const override;
+  void serialize_mapping(ssd::ByteSink& sink) override;
   void serialize_delta(ssd::ByteSink& sink) override;
   void discard_delta() override;
   void deserialize_mapping(ssd::ByteSource& src) override;
@@ -51,12 +52,12 @@ class PageFtl final : public FtlScheme {
   [[nodiscard]] SimTime write_sub(const SubRequest& sub, SimTime ready);
 
   void journal_lpn(std::uint64_t lpn) {
-    if (journaling()) dirty_lpns_.push_back(lpn);
+    if (journaling()) dirty_lpns_.mark(lpn);
   }
 
   std::vector<Ppn> pmt_;
   std::uint64_t entries_per_tpage_;
-  std::vector<std::uint64_t> dirty_lpns_;  // delta-journal dirty set
+  DirtyBits dirty_lpns_;  // delta-journal dirty set
 };
 
 }  // namespace af::ftl

@@ -335,6 +335,10 @@ void FlashArray::move_ckpt_blob(Ppn from, Ppn to) {
   blobs_[static_cast<std::uint64_t>(index(to))] = std::move(bytes);
 }
 
+void FlashArray::drop_ckpt_blob(Ppn ppn) {
+  blobs_.erase(static_cast<std::uint64_t>(index(ppn)));
+}
+
 void FlashArray::set_stamp(Ppn ppn, std::uint32_t sector_in_page,
                            std::uint64_t stamp) {
   AF_CHECK_MSG(!stamps_.empty(), "payload tracking disabled");

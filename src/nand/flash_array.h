@@ -384,6 +384,10 @@ class FlashArray {
   void set_ckpt_blob(Ppn ppn, std::vector<std::uint8_t> bytes);
   [[nodiscard]] const std::vector<std::uint8_t>* ckpt_blob(Ppn ppn) const;
   void move_ckpt_blob(Ppn from, Ppn to);
+  /// Frees a superseded chunk's blob ahead of its block's erase.
+  void drop_ckpt_blob(Ppn ppn);
+  /// Blobs currently held (test and memory introspection).
+  [[nodiscard]] std::size_t ckpt_blob_count() const { return blobs_.size(); }
 
   [[nodiscard]] const MountRoot& mount_root() const { return root_; }
   void set_mount_root(MountRoot root) { root_ = std::move(root); }

@@ -68,35 +68,39 @@ bool Checkpointer::write_journal(SimTime now, bool snapshot) {
   if (snapshot) {
     scheme_.serialize_mapping(sink);
     dir.serialize_gtd(sink);
-    // Capacity gate, checked before anything is drained (serialization above
-    // is const): a full snapshot is the one burst that can exceed the free
-    // pool outright at deep end-of-life, when erase faults have eaten most
-    // spares and GC can no longer backfill behind the chunk programs. Defer
-    // it — nothing is lost, the dirty state simply rides to the next try.
+    // Capacity gate, checked before any delta dirty set is drained (the
+    // snapshot encode above drains none): a full snapshot is the one burst
+    // that can exceed the free pool outright at deep end-of-life, when erase
+    // faults have eaten most spares and GC can no longer backfill behind the
+    // chunk programs. Defer it — nothing is lost, the dirty state simply
+    // rides to the next try.
     const std::uint64_t page_bytes = engine_.geometry().page_bytes;
     const std::uint64_t need =
         (sink.size() + page_bytes - 1) / page_bytes;
     if (engine_.free_headroom_pages() < need) {
+      // The bytes still encode the tables as they are now, so the scheme
+      // may splice its next snapshot from them.
+      scheme_.adopt_snapshot(sink.take());
       return false;
     }
     // A snapshot supersedes all prior dirty state: drop it so the next delta
     // carries only post-snapshot changes.
     scheme_.discard_delta();
-    (void)dir.drain_dirty_gtd();
+    dir.clear_dirty_gtd();
   } else {
     scheme_.serialize_delta(sink);
-    const std::vector<std::uint64_t> dirty = dir.drain_dirty_gtd();
-    sink.u64(dirty.size());
-    for (const std::uint64_t map_page : dirty) {
+    sink.u64(dir.dirty_gtd().count());
+    dir.dirty_gtd().for_each([&](std::uint64_t map_page) {
       sink.u64(map_page);
       sink.u64(dir.flash_location(map_page).get());
-    }
+    });
+    dir.clear_dirty_gtd();
   }
 
   // Chunk the payload into page-sized pieces and program them through the
   // map stream. GC may fire mid-entry and relocate earlier chunks; pending_
   // lets on_ckpt_moved repoint them before they reach the root.
-  const std::vector<std::uint8_t> bytes = sink.take();
+  std::vector<std::uint8_t> bytes = sink.take();
   const std::uint64_t page_bytes = engine_.geometry().page_bytes;
   std::vector<Ppn> pages;
   pending_ = &pages;
@@ -135,8 +139,12 @@ bool Checkpointer::write_journal(SimTime now, bool snapshot) {
     fresh.journal_seq = seq_at;
     fresh.snapshot_pages = std::move(pages);
     array.set_mount_root(std::move(fresh));
+    // Mount reads journal pages only through the root, so a superseded
+    // page's blob is dead from here on; drop it rather than keep it
+    // resident until GC erases the block.
     for (const Ppn ppn : superseded) {
       engine_.invalidate(ppn);
+      array.drop_ckpt_blob(ppn);
     }
   } else {
     AF_CHECK_MSG(root.valid, "delta journal entry with no snapshot");
@@ -148,6 +156,7 @@ bool Checkpointer::write_journal(SimTime now, bool snapshot) {
   // or below seq_at is folded into the entry just committed; recovery skips
   // that span (tomb.seq <= journal_seq). Drop them so the log stays bounded.
   array.prune_trim_log(seq_at);
+  if (snapshot) scheme_.adopt_snapshot(std::move(bytes));
   return true;
 }
 

@@ -1,8 +1,5 @@
 #include "ssd/map_directory.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/check.h"
 
 namespace af::ssd {
@@ -11,7 +8,8 @@ MapDirectory::MapDirectory(MapIo& io, std::uint64_t num_map_pages,
                            std::uint64_t cache_pages)
     : io_(io),
       num_map_pages_(num_map_pages),
-      cache_pages_(cache_pages == 0 ? 1 : cache_pages) {
+      cache_pages_(cache_pages == 0 ? 1 : cache_pages),
+      dirty_gtd_(num_map_pages) {
   flash_loc_.assign(num_map_pages_, Ppn{});
   touched_.assign(num_map_pages_, false);
 }
@@ -89,13 +87,6 @@ void MapDirectory::on_relocated(std::uint64_t map_page, Ppn new_ppn) {
 Ppn MapDirectory::flash_location(std::uint64_t map_page) const {
   AF_CHECK(map_page < num_map_pages_);
   return flash_loc_[map_page];
-}
-
-std::vector<std::uint64_t> MapDirectory::drain_dirty_gtd() {
-  std::sort(dirty_gtd_.begin(), dirty_gtd_.end());
-  dirty_gtd_.erase(std::unique(dirty_gtd_.begin(), dirty_gtd_.end()),
-                   dirty_gtd_.end());
-  return std::exchange(dirty_gtd_, {});
 }
 
 void MapDirectory::serialize_gtd(ByteSink& sink) const {

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/dirty_bits.h"
 #include "common/types.h"
 #include "nand/flash_array.h"
 #include "ssd/serialize.h"
@@ -70,9 +71,9 @@ class MapDirectory {
   /// without this, a checkpoint's GTD would go stale the moment GC moved a
   /// translation page whose move predates the next snapshot.
   void enable_journal(bool on) { journal_ = on; }
-  /// Map-page ids whose GTD entry changed since the last drain, sorted and
-  /// deduplicated; clears the set.
-  [[nodiscard]] std::vector<std::uint64_t> drain_dirty_gtd();
+  /// Map-page ids whose GTD entry changed since the last clear_dirty_gtd().
+  [[nodiscard]] const DirtyBits& dirty_gtd() const { return dirty_gtd_; }
+  void clear_dirty_gtd() { dirty_gtd_.clear(); }
   /// Serializes every valid GTD entry (snapshot payload).
   void serialize_gtd(ByteSink& sink) const;
   /// Mount-time restore of one GTD entry (checkpoint replay and kMap OOB
@@ -95,7 +96,7 @@ class MapDirectory {
 
   [[nodiscard]] SimTime evict_one(SimTime ready);
   void note_gtd_change(std::uint64_t map_page) {
-    if (journal_) dirty_gtd_.push_back(map_page);
+    if (journal_) dirty_gtd_.mark(map_page);
   }
 
   MapIo& io_;
@@ -110,7 +111,7 @@ class MapDirectory {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   bool journal_ = false;
-  std::vector<std::uint64_t> dirty_gtd_;
+  DirtyBits dirty_gtd_;
 };
 
 }  // namespace af::ssd

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/interval.h"
 #include "common/types.h"
@@ -44,8 +45,16 @@ class RecoverableMapping {
 
   // --- Checkpoint side (no-crash path) -------------------------------------
 
-  /// Serializes the full mapping state (snapshot journal entry).
-  virtual void serialize_mapping(ByteSink& sink) const = 0;
+  /// Serializes the full mapping state (snapshot journal entry). A scheme
+  /// may encode it incrementally from the previous snapshot's bytes when
+  /// those came back through adopt_snapshot; the bytes are the same either
+  /// way.
+  virtual void serialize_mapping(ByteSink& sink) = 0;
+  /// Hands back the whole buffer the latest serialize_mapping call wrote
+  /// into, once the checkpointer no longer needs it; the scheme's payload
+  /// starts where that call began. The default drops it; MRSM keeps it as
+  /// the base of its next snapshot, so the entry is never resident twice.
+  virtual void adopt_snapshot(std::vector<std::uint8_t> bytes) { (void)bytes; }
   /// Serializes and drains the entries dirtied since the last serialize call
   /// (delta journal entry). Only meaningful with journaling enabled.
   virtual void serialize_delta(ByteSink& sink) = 0;

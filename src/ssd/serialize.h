@@ -17,8 +17,13 @@ namespace af::ssd {
 class ByteSink {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) { append(v); }
-  void u64(std::uint64_t v) { append(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  /// Appends raw bytes — already-encoded entries spliced in as one run.
+  void append(std::span<const std::uint8_t> raw) {
+    bytes_.insert(bytes_.end(), raw.begin(), raw.end());
+  }
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
 
   /// Emits a zero u64 to be filled in later with patch_u64 — for counts
   /// that are only known once the entries after them are written.
@@ -40,7 +45,7 @@ class ByteSink {
   /// One size check per value, not one per byte. (Growing the vector by a
   /// zero-filled slack region instead would make the slack resident.)
   template <typename T>
-  void append(T v) {
+  void put(T v) {
     std::uint8_t le[sizeof(T)];
     store(le, v);
     bytes_.insert(bytes_.end(), le, le + sizeof(T));

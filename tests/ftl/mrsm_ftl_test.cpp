@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "ssd/checkpoint.h"
 #include "ssd/serialize.h"
 #include "../helpers.h"
 
@@ -141,6 +149,152 @@ TEST_F(MrsmFixture, MapFootprintLargerThanBaselineOnceSubMapped) {
     write(off, 7);
   }
   EXPECT_GT(scheme().map_bytes(), baseline.scheme().map_bytes());
+}
+
+// Sits between a Checkpointer and MRSM. At every snapshot it checks the
+// spliced bytes against a cold encode of the same state, made by the same
+// encoder after a cache reset. On request it pads one snapshot past the
+// free pool so the capacity gate defers it.
+class SpliceProbe final : public ssd::RecoverableMapping {
+ public:
+  SpliceProbe(MrsmFtl& inner, const ssd::Engine& engine)
+      : inner_(inner), engine_(engine) {}
+
+  void serialize_mapping(ssd::ByteSink& sink) override {
+    if (inner_.snapshot_cache_warm()) ++warm;
+    ++snapshots;
+    const std::size_t begin = sink.size();
+    inner_.serialize_mapping(sink);
+    const std::vector<std::uint8_t> spliced(
+        sink.bytes().begin() + static_cast<std::ptrdiff_t>(begin),
+        sink.bytes().end());
+    inner_.drop_snapshot_cache();
+    ssd::ByteSink cold;
+    inner_.serialize_mapping(cold);
+    const std::span<const std::uint8_t> fresh = cold.bytes();
+    if (!std::equal(spliced.begin(), spliced.end(), fresh.begin(),
+                    fresh.end())) {
+      ++mismatches;
+    }
+    if (pad_next) {
+      pad_next = false;
+      const std::uint64_t page_bytes = engine_.geometry().page_bytes;
+      for (std::uint64_t i = 0;
+           i < (engine_.free_headroom_pages() + 1) * page_bytes; ++i) {
+        sink.u8(0);
+      }
+    }
+  }
+  void adopt_snapshot(std::vector<std::uint8_t> bytes) override {
+    inner_.adopt_snapshot(std::move(bytes));
+  }
+  void serialize_delta(ssd::ByteSink& sink) override {
+    inner_.serialize_delta(sink);
+  }
+  void discard_delta() override { inner_.discard_delta(); }
+  void enable_journal(bool on) override { inner_.enable_journal(on); }
+  void deserialize_mapping(ssd::ByteSource& src) override {
+    inner_.deserialize_mapping(src);
+  }
+  void apply_delta(ssd::ByteSource& src) override { inner_.apply_delta(src); }
+  void recover_claim(const nand::OobRecord& oob, Ppn ppn) override {
+    inner_.recover_claim(oob, ppn);
+  }
+  void recover_trim(SectorRange range) override { inner_.recover_trim(range); }
+  void recover_enumerate(
+      const std::function<void(Ppn, nand::PageOwner)>& fn) const override {
+    inner_.recover_enumerate(fn);
+  }
+  void recover_finalize() override { inner_.recover_finalize(); }
+
+  std::uint64_t snapshots = 0;
+  std::uint64_t warm = 0;
+  std::uint64_t mismatches = 0;
+  bool pad_next = false;
+
+ private:
+  MrsmFtl& inner_;
+  const ssd::Engine& engine_;
+};
+
+// Every snapshot the checkpointer writes equals a cold encode of the same
+// state, through GC, region upgrades, trims, packed pages reprogrammed at
+// the same PPN, a capacity-deferred snapshot, direct serialize_mapping calls
+// and a power cut followed by a mount and more writes.
+TEST(MrsmSnapshotSplice, EverySnapshotMatchesAColdEncode) {
+  ssd::SsdConfig config = test::tiny_config();
+  const ssd::SsdConfig::CheckpointPolicy policy{.interval_requests = 6,
+                                                .snapshot_every = 2};
+  auto ssd = std::make_unique<sim::Ssd>(config, SchemeKind::kMrsm);
+  test::WorkloadGen gen(config.logical_sectors(),
+                        config.geometry.sectors_per_page(), /*seed=*/77);
+  Rng rng(78);
+
+  std::uint64_t snapshots = 0;
+  std::uint64_t warm = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t trims = 0;
+  std::uint64_t direct_calls = 0;
+  std::uint64_t deferred = 0;
+  std::map<std::uint64_t, std::uint64_t> packed_ids;  // PPN -> pack id
+  std::uint64_t packed_reused = 0;
+
+  const auto churn = [&](std::uint64_t requests) {
+    auto& mrsm = dynamic_cast<MrsmFtl&>(ssd->scheme());
+    SpliceProbe probe(mrsm, ssd->engine());
+    ssd::Checkpointer ckpt(ssd->engine(), probe, policy);
+    for (std::uint64_t i = 0; i < requests; ++i) {
+      ftl::IoRequest req = gen.next();
+      if (req.write && rng.chance(0.05)) {
+        req.write = false;
+        req.trim = true;
+        ++trims;
+      }
+      const auto done = test::submit_ok(*ssd, req);
+      if (req.write || req.trim) ckpt.note_write(done.done);
+      if (i == requests / 2) probe.pad_next = true;
+      if (i % 97 == 96) {
+        ssd::ByteSink direct;
+        mrsm.serialize_mapping(direct);
+        ++direct_calls;
+      }
+      mrsm.recover_enumerate([&](Ppn ppn, nand::PageOwner owner) {
+        if (owner.kind != nand::PageOwner::Kind::kPacked) return;
+        const auto [it, fresh] = packed_ids.emplace(ppn.get(), owner.id);
+        if (!fresh && it->second != owner.id) {
+          ++packed_reused;
+          it->second = owner.id;
+        }
+      });
+    }
+    snapshots += probe.snapshots;
+    warm += probe.warm;
+    mismatches += probe.mismatches;
+    deferred += ckpt.counters().deferred;
+  };
+
+  churn(1500);
+  EXPECT_GT(dynamic_cast<MrsmFtl&>(ssd->scheme()).sub_regions(), 0u);
+
+  // Power cut at a request boundary, then a mount and more writes.
+  const ssd::Oracle oracle_seed = *ssd->oracle();
+  nand::FlashArray image = ssd->release_flash();
+  ssd.reset();
+  ssd::RecoveryReport report;
+  ssd = sim::Ssd::mount(config, SchemeKind::kMrsm, std::move(image),
+                        &oracle_seed, &report);
+  EXPECT_TRUE(report.used_checkpoint);
+  churn(1500);
+  test::verify_full_space(*ssd);
+
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(snapshots, 100u);
+  EXPECT_GT(warm, snapshots / 2);
+  EXPECT_GT(ssd->engine().gc_runs(), 0u);
+  EXPECT_GT(packed_reused, 0u);
+  EXPECT_GT(trims, 0u);
+  EXPECT_GT(direct_calls, 0u);
+  EXPECT_GE(deferred, 2u);  // one per life
 }
 
 // A checkpoint blob whose PPNs fall outside the device must fail loudly at

@@ -20,7 +20,7 @@ namespace {
 
 constexpr std::uint32_t kSpp = 16;  // tiny config: 8 KiB pages
 
-std::vector<std::uint8_t> mapping_bytes(const ftl::FtlScheme& scheme) {
+std::vector<std::uint8_t> mapping_bytes(ftl::FtlScheme& scheme) {
   ssd::ByteSink sink;
   scheme.serialize_mapping(sink);
   return sink.take();

@@ -28,7 +28,7 @@ void run_workload(sim::Ssd& ssd, std::uint64_t requests, std::uint64_t seed) {
   }
 }
 
-std::vector<std::uint8_t> mapping_bytes(const ftl::FtlScheme& scheme) {
+std::vector<std::uint8_t> mapping_bytes(ftl::FtlScheme& scheme) {
   ssd::ByteSink sink;
   scheme.serialize_mapping(sink);
   return sink.take();
@@ -142,6 +142,35 @@ TEST_P(CheckpointRemount, RecoveredDeviceKeepsServingWrites) {
   run_workload(*mounted, 150, 6);
   ASSERT_NE(mounted->checkpointer(), nullptr);
   EXPECT_GT(mounted->checkpointer()->counters().journal_writes, 0u);
+  test::verify_full_space(*mounted);
+}
+
+// A snapshot commit frees the blobs of the journal pages it supersedes, so
+// after a long churn the array holds exactly the blobs the root names — and
+// the device still remounts from them.
+TEST_P(CheckpointRemount, OnlyBlobsTheRootNamesStayResident) {
+  const ssd::SsdConfig config = ckpt_config(/*interval=*/8, /*every=*/3);
+  auto ssd = std::make_unique<sim::Ssd>(config, GetParam());
+  run_workload(*ssd, 3000, 21);
+  ASSERT_GT(ssd->checkpointer()->counters().snapshots, 20u);
+  EXPECT_GT(ssd->engine().gc_runs(), 0u);
+
+  const nand::FlashArray& array = ssd->engine().array();
+  const nand::MountRoot& root = array.mount_root();
+  ASSERT_TRUE(root.valid);
+  std::size_t named = root.snapshot_pages.size();
+  for (const std::vector<Ppn>& delta : root.delta_pages) named += delta.size();
+  EXPECT_EQ(array.ckpt_blob_count(), named);
+
+  const std::vector<std::uint8_t> before = mapping_bytes(ssd->scheme());
+  const ssd::Oracle oracle_seed = *ssd->oracle();
+  nand::FlashArray image = ssd->release_flash();
+  ssd.reset();
+  ssd::RecoveryReport report;
+  auto mounted = sim::Ssd::mount(config, GetParam(), std::move(image),
+                                 &oracle_seed, &report);
+  EXPECT_TRUE(report.used_checkpoint);
+  EXPECT_EQ(mapping_bytes(mounted->scheme()), before);
   test::verify_full_space(*mounted);
 }
 
